@@ -2,12 +2,17 @@
 (`J/index/IndexCollection.java:860-862`: forceMerge(1)).
 
 A fresh build leaves each (segment, term) posting list as multiple
-varint sub-block runs (one per encode batch that touched the term).
-Readers handle that transparently, but run-per-batch granularity costs
-per-run decode overhead and parquet row fan-out. `optimize_index`
-compacts every posting list to a single run: one Ray groupby over the
-posting rows, decode + re-encode per group, atomic directory swap.
-Stats, docmap and docvecs are untouched (content is identical)."""
+varint sub-block runs (one per encode batch or unit that touched the
+term). Readers handle that transparently, but run-per-batch granularity
+costs per-run decode overhead and parquet row fan-out. `optimize_index`
+compacts every posting list to a single run. Posting rows never cross
+segments, so the work is partition-local: one Ray task per
+`postings/segment_id=S` partition orders that partition's rows by
+(term, first_local), passes single-run terms through, byte-concatenates
+the runs of every multi-run term (`_concat_group`) and writes one
+term-sorted file; the driver then swaps each partition in. Nothing is
+shuffled and no key passes through the driver. Stats, docmap and
+docvecs are untouched (content is identical)."""
 
 from __future__ import annotations
 
@@ -16,11 +21,12 @@ import shutil
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
 import ray
-import ray.data
 
-from .build import _encode_term_run
+from .build import _SUBBLOCK_NAMES, _encode_term_run
 from .varint import varint_decode, varint_encode
 
 
@@ -32,10 +38,10 @@ def _concat_group(group: pa.Table) -> pa.Table:
     i's last ordinal, read by decoding only run i's LAST block, <= 128
     values). tf/pos streams and per-block impact metadata concatenate as-is
     with offset shifts — nothing corpus-proportional is decoded or
-    re-encoded, unlike the previous decode-all+re-encode (_reencode_group,
-    kept below as the reference implementation the bit-identical-results
-    test compares against). Per-block min_dl survives EXACTLY (the
-    re-encode path had to conservatively expand it per posting)."""
+    re-encoded, unlike the previous decode-all+re-encode (_reencode_group).
+    Per-block min_dl survives EXACTLY (the re-encode path had to
+    conservatively expand it per posting). Overlapping runs raise
+    ValueError naming the segment and the term."""
     order = np.argsort(group["first_local"].to_numpy(), kind="stable")
     has_pos = "pos_blob" in group.column_names
     doc_parts: list[bytes] = []
@@ -65,9 +71,16 @@ def _concat_group(group: pa.Table) -> pa.Table:
         else:
             gap = first_local - prev_last
             if gap <= 0:
-                # overlapping runs: not producible by the builder; bail to
-                # the decode+re-encode reference path for the whole group
-                return _reencode_group(group)
+                # overlapping runs: the builder never writes them, and a
+                # byte concatenation would store an unsorted or duplicated
+                # posting list
+                raise ValueError(
+                    f"overlapping posting runs in segment "
+                    f"{group['segment_id'][0].as_py()}, term "
+                    f"{group['term'][0].as_py()!r}: a run starts at local "
+                    f"ordinal {first_local}, not after the previous run's "
+                    f"last ordinal {prev_last}"
+                )
             flen = 1
             while doc_blob[flen - 1] & 0x80:
                 flen += 1
@@ -125,16 +138,15 @@ def _concat_group(group: pa.Table) -> pa.Table:
                      type=pa.list_(pa.int32())),
             pa.array([pos_blob], type=pa.large_binary()),
         ],
-        names=[
-            "segment_id", "term", "first_local", "df", "cf", "max_tf",
-            "doc_blob", "tf_blob", "blk_first", "blk_n", "blk_max_tf",
-            "blk_min_dl", "blk_doc_off", "blk_tf_off", "pos_blob",
-        ],
+        names=_SUBBLOCK_NAMES,
     )
 
 
 def _reencode_group(group: pa.Table) -> pa.Table:
-    """One (segment_id, term): decode all runs, re-encode as one."""
+    """One (segment_id, term): decode all runs, re-encode as one. Not used
+    by optimize_index: kept only as the reference implementation that
+    test_concat_group_decodes_identical_to_reencode compares
+    _concat_group against."""
     order = np.argsort(group["first_local"].to_numpy(), kind="stable")
     ords_parts, tf_parts = [], []
     has_pos = "pos_blob" in group.column_names
@@ -194,21 +206,18 @@ def _reencode_group(group: pa.Table) -> pa.Table:
             pa.array([bto], type=pa.list_(pa.int32())),
             pa.array([pos_blob], type=pa.large_binary()),
         ],
-        names=[
-            "segment_id", "term", "first_local", "df", "cf", "max_tf",
-            "doc_blob", "tf_blob", "blk_first", "blk_n", "blk_max_tf",
-            "blk_min_dl", "blk_doc_off", "blk_tf_off", "pos_blob",
-        ],
+        names=_SUBBLOCK_NAMES,
     )
 
 
 def recover_interrupted_optimize(index_dir: str) -> bool:
-    """A crash between the os.replace calls of a swap leaves the index with
-    postings/ (or, for a selective compaction, one of its segment_id=N
-    partitions) missing while an intact copy sits in postings.old — restore
-    it. Called by optimize_index and by SegmentReader open. Also restores
-    headless termstats partitions (same crash window in _dedup_termstats).
-    Returns True if a postings recovery happened."""
+    """A crash between the two os.replace calls of a partition swap leaves
+    one postings/segment_id=N partition missing while an intact copy sits
+    in postings.old — restore it. Also restores postings/ as a whole from
+    postings.old, the crash state of indexes whose optimize swapped the
+    whole directory. Called by optimize_index and by SegmentReader open.
+    Also restores headless termstats partitions (same crash window in
+    _dedup_termstats). Returns True if a postings recovery happened."""
     ts_root = os.path.join(index_dir, "termstats")
     if os.path.isdir(ts_root):
         _recover_termstats(ts_root)
@@ -230,87 +239,69 @@ def recover_interrupted_optimize(index_dir: str) -> bool:
     return recovered
 
 
-# Row-group sizing for the rewritten postings parquet. Without an explicit
-# size, pyarrow's write_dataset flushes a row group per incoming record
-# batch — and compacted blocks are heavily chunked (see _norm).
+# Row-group sizing for the rewritten parquet files (a compacted postings
+# partition is written from many small slices).
 _ROW_GROUP_SIZE = 16384
 
-_POSTING_COLS = [
-    "segment_id", "term", "first_local", "df", "cf", "max_tf",
-    "doc_blob", "tf_blob", "blk_first", "blk_n", "blk_max_tf",
-    "blk_min_dl", "blk_doc_off", "blk_tf_off", "pos_blob",
-]
 
-
-def _compact_dataset(ds, nparts: int):
-    """Split-route compaction: the single-run MAJORITY of posting lists
-    (tail terms) passes through untouched; only keys with >1 run pay the
-    per-group decode+re-encode. Without the split, map_groups makes one
-    Python call per (segment, term) — ~1M calls on a realistic vocabulary
-    of which typically <20% need any work. Returns the output Dataset, or
-    None when nothing is fragmented (caller skips the rewrite)."""
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Count
-
-    counts = ds.groupby(["segment_id", "term"]).aggregate(Count())
-
-    def frag_only(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.greater(batch["count()"], 1)).select(
-            ["segment_id", "term"]
-        )
-
-    blocks = [
-        t
-        for t in ray.get(
-            counts.map_batches(frag_only, batch_format="pyarrow")
-            .to_arrow_refs()
-        )
-        if t.num_rows
-    ]
-    if not blocks:
-        return None
-    keyt = pa.concat_tables(blocks)
-    # skinny (segment:term) strings — ~20 MB per 1M fragmented keys; in the
-    # pathological everything-fragmented case this is vocab-sized, still
-    # far below the payloads the groupby itself shuffles
-    frag_keys = pc.binary_join_element_wise(
-        pc.cast(keyt["segment_id"], pa.string()),
-        keyt["term"].combine_chunks().cast(pa.string()),
-        ":",
-    ).combine_chunks()
-    key_ref = ray.put(frag_keys)
-
-    def _norm(batch: pa.Table) -> pa.Table:
-        if "pos_blob" not in batch.column_names:
-            batch = batch.append_column(
+@ray.remote(num_cpus=1)
+def _compact_partition(part_dir: str, out_dir: str, segment_id: int) -> bool:
+    """Compact one postings partition into `out_dir`/part-0.parquet (a name
+    outside the builder's u<unit>.parquet pattern). Rows are ordered by
+    (term, first_local), as SegmentReader orders them at open; single-run
+    terms pass through as slices and only multi-run terms go through
+    _concat_group. Returns False, writing nothing, when no term has more
+    than one run."""
+    cols = _SUBBLOCK_NAMES[1:]  # the hive partition holds segment_id
+    tables = []
+    for fn in sorted(os.listdir(part_dir)):
+        if not fn.endswith(".parquet"):
+            continue
+        t = pq.read_table(os.path.join(part_dir, fn))
+        if "pos_blob" not in t.column_names:  # pre-positions format
+            t = t.append_column(
                 "pos_blob",
-                pa.array([b""] * batch.num_rows, type=pa.large_binary()),
+                pa.array([b""] * t.num_rows, type=pa.large_binary()),
             )
-        # map_groups blocks arrive as one chunk PER GROUP (thousands of
-        # 1-row chunks); left alone, the parquet writer emits one row group
-        # per chunk — a 34x file-size blowup and a catastrophic reader load
-        # (one row-group header decode per posting). Flatten here.
-        return batch.select(_POSTING_COLS).combine_chunks()
-
-    def route(batch: pa.Table, keep_frag: bool) -> pa.Table:
-        k = pc.binary_join_element_wise(
-            pc.cast(batch["segment_id"], pa.string()),
-            pc.cast(batch["term"], pa.string()),
-            ":",
-        )
-        m = pc.is_in(k, value_set=ray.get(key_ref))
-        return _norm(batch.filter(m if keep_frag else pc.invert(m)))
-
-    passthrough = ds.map_batches(
-        lambda b: route(b, False), batch_format="pyarrow"
+        tables.append(t.select(cols))
+    if sum(t.num_rows for t in tables) < 2:
+        return False
+    t = pa.concat_tables(tables)
+    t = t.take(pc.sort_indices(
+        t, sort_keys=[("term", "ascending"), ("first_local", "ascending")]
+    ))
+    n = t.num_rows
+    t = t.add_column(
+        0, "segment_id", pa.array(np.full(n, segment_id, dtype=np.int64))
     )
-    compacted = (
-        ds.map_batches(lambda b: route(b, True), batch_format="pyarrow")
-        .groupby(["segment_id", "term"], num_partitions=nparts)
-        .map_groups(_concat_group, batch_format="pyarrow")
-        .map_batches(_norm, batch_format="pyarrow")
+    terms = t["term"].combine_chunks()
+    change = pc.not_equal(terms.slice(0, n - 1), terms.slice(1))
+    starts = np.concatenate(
+        [[0], np.flatnonzero(change.to_numpy(zero_copy_only=False)) + 1]
     )
-    return passthrough.union(compacted)
+    ends = np.append(starts[1:], n)
+    multi = np.flatnonzero(ends - starts > 1)
+    if not multi.size:
+        return False
+    done, pieces, pos = [], [], 0
+    for j in multi:
+        lo, hi = int(starts[j]), int(ends[j])
+        if lo > pos:
+            pieces.append(t.slice(pos, lo - pos))
+        pieces.append(_concat_group(t.slice(lo, hi - lo)))
+        pos = hi
+        if len(pieces) >= 2048:
+            # thousands of one-row tables cost ~14 KB each; merge them
+            done.append(pa.concat_tables(pieces).combine_chunks())
+            pieces = []
+    out = pa.concat_tables(done + pieces + [t.slice(pos)])
+    os.makedirs(out_dir)
+    pq.write_table(
+        out.drop_columns(["segment_id"]).combine_chunks(),
+        os.path.join(out_dir, "part-0.parquet"),
+        row_group_size=_ROW_GROUP_SIZE,
+    )
+    return True
 
 
 def _recover_termstats(ts_root: str) -> None:
@@ -366,8 +357,6 @@ def _dedup_termstats(index_dir: str, segments: list[int] | None) -> None:
 
     @ray.remote(num_cpus=1)
     def _one(part_dir: str) -> None:
-        import pyarrow.parquet as pq
-
         t = pq.read_table(part_dir, columns=["term", "gdf", "gcf"])
         agg = t.group_by("term").aggregate([("gdf", "min"), ("gcf", "min")])
         out = agg.rename_columns(["term", "gdf", "gcf"]).combine_chunks()
@@ -398,83 +387,64 @@ def _dedup_termstats(index_dir: str, segments: list[int] | None) -> None:
         ray.get(jobs)
 
 
-def optimize_index(
-    index_dir: str,
-    shuffle_partitions: int | None = 32,
-    segments: list[int] | None = None,
-) -> None:
-    """Force-merge posting runs and dedup termstats sidecars. segments=None
-    compacts the whole index (whole-directory atomic swap); a segment list
-    compacts ONLY those hive partitions (per-partition atomic swaps) — the
-    shape the append auto-compaction hook uses, so cost is proportional to
-    the fragmented segments, not the index."""
+def optimize_index(index_dir: str, segments: list[int] | None = None) -> None:
+    """Force-merge posting runs and dedup termstats sidecars of the given
+    segments (None: every `postings/segment_id=S` partition), so cost is
+    proportional to the partitions compacted, not the index. The append
+    auto-compaction hook passes the fragmented segments.
+
+    One Ray task per partition (`_compact_partition`) writes the compacted
+    copy into `postings.optimizing/segment_id=S`; once every task has
+    finished, the driver swaps each copy in through `postings.old/`. Any
+    mix of compacted and uncompacted partitions is a valid index, so a
+    crash leaves a searchable index at every point: a partition caught
+    between its two renames is restored from `postings.old/` by
+    recover_interrupted_optimize, and stale `.optimizing`/`.old` copies are
+    removed by the next run. A failing task (overlapping runs raise
+    ValueError) fails the call before any partition is swapped.
+
+    Memory: one task holds one partition's posting rows, sorted, plus its
+    compacted copy. A 36,864-doc segment compacts to 7.4 MB of parquet with
+    a 366 MB peak worker RSS (BASELINE.md); the 16M-doc `seg_shift=24`
+    single segment in BASELINE.md held 4.7 GB of postings before
+    compaction, all of which one task would hold."""
     recover_interrupted_optimize(index_dir)
     _dedup_termstats(index_dir, segments)
     post_dir = os.path.join(index_dir, "postings")
     tmp_dir = os.path.join(index_dir, "postings.optimizing")
     old_dir = os.path.join(index_dir, "postings.old")
     shutil.rmtree(tmp_dir, ignore_errors=True)
-    avail = int(ray.cluster_resources().get("CPU", 8))
-    nparts = min(shuffle_partitions or 32, max(2, avail))
-
     if segments is None:
-        ds = ray.data.read_parquet(post_dir)
-        out = _compact_dataset(ds, nparts)
-        if out is None:
-            return
-        out.write_parquet(
-            tmp_dir,
-            partition_cols=["segment_id"],
-            row_group_size=_ROW_GROUP_SIZE,
+        segments = [
+            int(e.split("=", 1)[1])
+            for e in os.listdir(post_dir)
+            if e.startswith("segment_id=")
+        ]
+    chosen = [
+        s for s in sorted({int(s) for s in segments})
+        if os.path.isdir(os.path.join(post_dir, f"segment_id={s}"))
+    ]
+    if not chosen:
+        return
+    jobs = [
+        _compact_partition.remote(
+            os.path.join(post_dir, f"segment_id={s}"),
+            os.path.join(tmp_dir, f"segment_id={s}"),
+            s,
         )
-        shutil.rmtree(old_dir, ignore_errors=True)
-        os.replace(post_dir, old_dir)
-        os.replace(tmp_dir, post_dir)
-        shutil.rmtree(old_dir, ignore_errors=True)
-        return
-
-    # selective: read only the chosen partitions (hive column re-attached
-    # per batch, since a partition dir read loses it)
-    parts = []
-    chosen = []
-    for s in sorted({int(s) for s in segments}):
-        seg_dir = os.path.join(post_dir, f"segment_id={s}")
-        if not os.path.isdir(seg_dir):
-            continue
-        chosen.append(s)
-
-        def _attach(batch: pa.Table, sid=s) -> pa.Table:
-            if "segment_id" in batch.column_names:
-                return batch
-            return batch.append_column(
-                "segment_id",
-                pa.array(np.full(batch.num_rows, sid, dtype=np.int64)),
-            )
-
-        parts.append(
-            ray.data.read_parquet(seg_dir).map_batches(
-                _attach, batch_format="pyarrow"
-            )
-        )
-    if not parts:
-        return
-    ds = parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]
-    out = _compact_dataset(ds, nparts)
-    if out is None:
-        return
-    out.write_parquet(
-        tmp_dir,
-        partition_cols=["segment_id"],
-        row_group_size=_ROW_GROUP_SIZE,
-    )
+        for s in chosen
+    ]
+    # let every task finish before an error propagates, so that none is
+    # still writing into tmp_dir when the next run clears it
+    ray.wait(jobs, num_returns=len(jobs))
+    wrote = ray.get(jobs)
     shutil.rmtree(old_dir, ignore_errors=True)
     os.makedirs(old_dir)
-    for s in chosen:
+    for s, done in zip(chosen, wrote):
+        if not done:
+            continue  # nothing fragmented: keep the partition as it is
         name = f"segment_id={s}"
-        new_part = os.path.join(tmp_dir, name)
-        if not os.path.isdir(new_part):
-            continue  # partition vanished (empty segment) — keep original
         os.replace(os.path.join(post_dir, name), os.path.join(old_dir, name))
-        os.replace(new_part, os.path.join(post_dir, name))
+        os.replace(os.path.join(tmp_dir, name), os.path.join(post_dir, name))
     shutil.rmtree(old_dir, ignore_errors=True)
     shutil.rmtree(tmp_dir, ignore_errors=True)

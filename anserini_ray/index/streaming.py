@@ -585,8 +585,7 @@ def build_index_streaming(
     # Results are bit-identical; only the file layout changes.
     touched = {int(s["segment_id"]) for s in segments}
     compacted = _auto_compact(
-        index_dir, markers, touched, config.auto_compact_unit_runs,
-        config.shuffle_partitions,
+        index_dir, markers, touched, config.auto_compact_unit_runs
     )
     _mark("auto_compact")
     if compacted:
@@ -599,8 +598,7 @@ def build_index_streaming(
 
 
 def _auto_compact(index_dir: str, markers: dict, touched: set[int],
-                  threshold: int | None,
-                  shuffle_partitions: int | None) -> list[int]:
+                  threshold: int | None) -> list[int]:
     """Compact segments whose effective fragmentation (unit writes since
     their last compaction) reaches `threshold`. Bookkeeping lives in
     compaction.json: {segment_id: marker-unit-count at last compaction} —
@@ -633,7 +631,7 @@ def _auto_compact(index_dir: str, markers: dict, touched: set[int],
         return []
     from .optimize import optimize_index
 
-    optimize_index(index_dir, shuffle_partitions, segments=to_compact)
+    optimize_index(index_dir, segments=to_compact)
     for s in to_compact:
         state[str(s)] = seg_units[s]
     tmp = state_path + ".tmp"
@@ -839,8 +837,7 @@ def append_index_streaming(
         for sid in markers[u["unit_id"]]["segments"]
     }
     compacted = _auto_compact(
-        index_dir, markers, touched, config.auto_compact_unit_runs,
-        config.shuffle_partitions,
+        index_dir, markers, touched, config.auto_compact_unit_runs
     )
     _mark("auto_compact")
 

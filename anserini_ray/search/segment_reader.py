@@ -225,9 +225,9 @@ class SegmentReader:
         self._decode_cache_limit = 4_000_000  # ~32 MB of int64+int32
 
         post_path = os.path.join(index_dir, "postings", f"segment_id={segment_id}")
-        if not os.path.isdir(os.path.join(index_dir, "postings")):
-            # crash-window recovery: an interrupted optimize swap leaves
-            # only postings.old (see optimize.recover_interrupted_optimize)
+        if not os.path.isdir(post_path):
+            # crash-window recovery: an interrupted optimize swap leaves the
+            # partition in postings.old (see recover_interrupted_optimize)
             from ..index.optimize import recover_interrupted_optimize
 
             recover_interrupted_optimize(index_dir)

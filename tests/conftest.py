@@ -29,3 +29,15 @@ def sf_dir():
 @pytest.fixture(scope="session")
 def sf01_dir():
     return "/root/testdata/sf0.01"
+
+
+def requires_reference(*paths: str):
+    """Skip marker for a test that reads fixtures from a checkout of the
+    reference implementation (Anserini): the test is skipped only when one
+    of the exact fixture paths it reads is missing, and the reason names
+    that path."""
+    missing = [p for p in paths if not os.path.exists(p)]
+    return pytest.mark.skipif(
+        bool(missing),
+        reason=f"reference fixture missing: {missing[0]}" if missing else "",
+    )

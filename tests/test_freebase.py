@@ -2,18 +2,15 @@
 freebase-rdf-head100.gz fixture with FreebaseTest.java /
 FreebaseNodeTest.java expectations."""
 
-import os
-
-import pytest
+from conftest import requires_reference
 
 FIXTURE = "/root/reference/src/test/resources/freebase-rdf-head100.gz"
 
 
+@requires_reference(FIXTURE)
 def test_freebase_iterator_matches_reference_expectations():
     from anserini_ray.kg import freebase_nodes
 
-    if not os.path.exists(FIXTURE):
-        pytest.skip("fixture not bundled")
     nodes = list(freebase_nodes(FIXTURE))
     # FreebaseTest.java walks 7 nodes then exhausts
     assert len(nodes) == 7
@@ -84,6 +81,7 @@ def test_literal_extraction():
     )
 
 
+@requires_reference(FIXTURE)
 def test_triples_dataset_and_lookup(ray_session):
     from anserini_ray.kg import (
         freebase_node_docs,
@@ -91,8 +89,6 @@ def test_triples_dataset_and_lookup(ray_session):
         read_freebase_triples,
     )
 
-    if not os.path.exists(FIXTURE):
-        pytest.skip("fixture not bundled")
     ds = read_freebase_triples(FIXTURE)
     assert ds.count() == 100 - 0  # 100 triples in the head fixture
     node = lookup_freebase_node(

@@ -3,19 +3,18 @@ CarCollection (minimal CBOR decoder + trec-car paragraph schema), and the
 four Covid collection variants."""
 
 import json
-import os
 import struct
 
 import pytest
+from conftest import requires_reference
 
 CACM = "/root/reference/src/main/resources/cacm/cacm.tar.gz"
 
 
+@requires_reference(CACM)
 def test_html_collection_cacm_archive():
     from anserini_ray.sources.html_collection import parse_html_archive
 
-    if not os.path.exists(CACM):
-        pytest.skip("cacm archive not bundled")
     docs = parse_html_archive(CACM)
     assert len(docs) == 3204  # HtmlCollectionTest.java expectation
     ids = {d for d, _, _ in docs}

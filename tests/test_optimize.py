@@ -218,3 +218,99 @@ def test_concat_group_decodes_identical_to_reencode(ray_session):
         assert len(got["pos_blob"][0].as_py()) == sum(
             len(r["pos_blob"]) for r in rows
         )
+
+
+def _run_row(first_locals, segment_id=0, term="t"):
+    from anserini_ray.index.build import _encode_term_run
+
+    ords = np.asarray(first_locals, dtype=np.uint64)
+    tfs = np.ones(ords.size, dtype=np.uint64)
+    dls = np.full(ords.size, 5, dtype=np.int32)
+    (db, tb, bf, bn, bmt, bmd, bdo, bto) = _encode_term_run(ords, tfs, dls, 128)
+    return {
+        "segment_id": segment_id, "term": term, "first_local": int(ords[0]),
+        "df": int(ords.size), "cf": int(ords.size), "max_tf": 1,
+        "doc_blob": db, "tf_blob": tb,
+        "blk_first": bf.tolist(), "blk_n": bn.tolist(),
+        "blk_max_tf": bmt.tolist(), "blk_min_dl": bmd.tolist(),
+        "blk_doc_off": bdo.tolist(), "blk_tf_off": bto.tolist(),
+        "pos_blob": b"",
+    }
+
+
+@pytest.mark.parametrize("second", [[3, 7], [9, 12]],
+                         ids=["interleaved", "shared_doc"])
+def test_concat_group_rejects_overlapping_runs(second):
+    """Runs [1,5,9] + [3,7] would concatenate to an unsorted list, and
+    [1,5,9] + [9,12] to a duplicated posting: both must raise, naming the
+    segment and the term."""
+    import pyarrow as pa
+
+    from anserini_ray.index.optimize import _concat_group
+
+    group = pa.Table.from_pylist([
+        _run_row([1, 5, 9], segment_id=3, term="zq"),
+        _run_row(second, segment_id=3, term="zq"),
+    ])
+    with pytest.raises(ValueError, match=r"segment 3, term 'zq'"):
+        _concat_group(group)
+
+
+def test_optimize_overlapping_run_fails_without_swapping(ray_session,
+                                                         tmp_path_factory):
+    """An overlapping run planted in one partition of a two-segment index
+    makes optimize_index raise; both partitions keep answering as before,
+    and the next successful run leaves no postings.optimizing behind."""
+    import os
+    import re
+
+    import ray.data
+
+    from anserini_ray.index import IndexConfig, build_index
+    from anserini_ray.index.optimize import optimize_index
+    from anserini_ray.search import LocalSearcher
+
+    tmp = tmp_path_factory.mktemp("opt_overlap")
+    p = str(tmp / "c.parquet")
+    pq.write_table(generate_transcripts(800, seed=93), p)
+    idx = str(tmp / "idx")
+    build_index(
+        ray.data.read_parquet(p),
+        idx,
+        IndexConfig(seg_shift=9, encode_batch_size=64),
+        input_files=[p],
+    )
+    post = os.path.join(idx, "postings")
+    assert sorted(os.listdir(post)) == ["segment_id=0", "segment_id=1"]
+    queries = ["merge sort", "pipeline", "window stream batch"]
+
+    def results():
+        s = LocalSearcher(idx)
+        return {q: s.search(q, k=30, adjust_ties=False) for q in queries}
+
+    def same(a, b):
+        return all(
+            a[q][0] == b[q][0]
+            and np.array_equal(np.asarray(a[q][1]), np.asarray(b[q][1]))
+            for q in queries
+        )
+
+    clean = results()
+    seg1 = os.path.join(post, "segment_id=1")
+    src = sorted(f for f in os.listdir(seg1) if f.endswith(".parquet"))[0]
+    row = pq.read_table(os.path.join(seg1, src)).slice(0, 1)
+    planted = os.path.join(seg1, "planted.parquet")
+    pq.write_table(row, planted)  # a second copy of one run: overlapping
+    term = row["term"][0].as_py()
+    planted_results = results()
+
+    with pytest.raises(ValueError, match=f"segment 1, term '{re.escape(term)}'"):
+        optimize_index(idx)
+    assert same(results(), planted_results)
+
+    os.unlink(planted)
+    assert same(results(), clean)
+    optimize_index(idx)
+    assert not os.path.exists(os.path.join(idx, "postings.optimizing"))
+    assert not os.path.exists(os.path.join(idx, "postings.old"))
+    assert same(results(), clean)

@@ -4,10 +4,12 @@ sample fixtures) and the qrels ⋈ topics -> labeled LTR training-data join."""
 import os
 
 import pytest
+from conftest import requires_reference
 
 REF_QRELS = "/root/reference/src/test/resources/sample_qrels"
 
 
+@requires_reference(os.path.join(REF_QRELS, "Trec"))
 def test_qrels_parse_reference_trec_fixture():
     from anserini_ray.sources.qrels import Qrels, read_qrels
 
@@ -22,6 +24,7 @@ def test_qrels_parse_reference_trec_fixture():
     assert q.relevance_grade("99", "DOC222") == 0
 
 
+@requires_reference(os.path.join(REF_QRELS, "Microblog"))
 def test_qrels_parse_reference_microblog_fixture():
     from anserini_ray.sources.qrels import Qrels, read_qrels
 

@@ -6,6 +6,7 @@ asserts for Lucene. This is direct cross-engine parity evidence, not
 self-oracle agreement."""
 
 import pytest
+from conftest import requires_reference
 
 from anserini_ray.sources.trec_collection import parse_trec_file
 
@@ -58,6 +59,7 @@ GOLDEN_RUNS = {
 }
 
 
+@requires_reference(f"{REF_COLLECTION}/trec1", f"{REF_COLLECTION}/trec2")
 def test_trec_parser_matches_reference_contents():
     got = {}
     for name in ("trec1", "trec2"):
@@ -86,6 +88,7 @@ def _topic_title():
     return topics[1]["title"]
 
 
+@requires_reference(REF_COLLECTION, REF_TOPIC)
 @pytest.mark.parametrize("model", list(GOLDEN_RUNS))
 def test_reference_golden_run(golden_index, model):
     from anserini_ray.search import LocalSearcher
@@ -104,6 +107,7 @@ def test_reference_golden_run(golden_index, model):
     assert lines == GOLDEN_RUNS[model], f"{model}: {lines}"
 
 
+@requires_reference(f"{REF_COLLECTION}/whitelist.txt", REF_TOPIC)
 def test_reference_whitelist_golden(ray_session, tmp_path_factory):
     """TrecEndToEndWhitelistTest: whitelist restricts indexing to DOC222;
     golden bm25 run '1 Q0 DOC222 1 0.372700 Anserini'."""
@@ -129,6 +133,7 @@ def test_reference_whitelist_golden(ray_session, tmp_path_factory):
 
 
 BIB_COLLECTION = "/root/reference/src/test/resources/sample_docs/bib/acl"
+BIB_TOPICS = "/root/reference/src/test/resources/sample_topics/bibtex_topics.tsv"
 BIB_GOLDEN_CONTENTS = {
     "article-id": "this is the title. ",
     "inproceedings-id": "this is the title. this is the abstract",
@@ -146,6 +151,7 @@ BIB_GOLDEN_RUNS = {
 }
 
 
+@requires_reference(f"{BIB_COLLECTION}/segment1.bib")
 def test_bibtex_parser_matches_reference_contents():
     from anserini_ray.sources.bibtex_collection import parse_bibtex
 
@@ -154,6 +160,7 @@ def test_bibtex_parser_matches_reference_contents():
     assert got == BIB_GOLDEN_CONTENTS
 
 
+@requires_reference(BIB_COLLECTION, BIB_TOPICS)
 def test_bibtex_reference_golden_runs(ray_session, tmp_path_factory):
     from anserini_ray.index import IndexConfig, build_index
     from anserini_ray.search import LocalSearcher
@@ -167,9 +174,7 @@ def test_bibtex_reference_golden_runs(ray_session, tmp_path_factory):
     m = build_index(ds, index_dir, IndexConfig(seg_shift=4), input_files=[])
     assert m.doc_count == 3
     s = LocalSearcher(index_dir)
-    topics = read_tsv_topics(
-        "/root/reference/src/test/resources/sample_topics/bibtex_topics.tsv"
-    )
+    topics = read_tsv_topics(BIB_TOPICS)
     for qid, text in topics:
         docids, scores = s.search(text, k=1000)
         docids = [d.removesuffix(":0") for d in docids]
@@ -178,6 +183,7 @@ def test_bibtex_reference_golden_runs(ray_session, tmp_path_factory):
 
 
 CORE_COLLECTION = "/root/reference/src/test/resources/sample_docs/core"
+CORE_TOPICS = "/root/reference/src/test/resources/sample_topics/core_topics.tsv"
 CORE_GOLDEN_RUNS = {
     1: [
         "1 Q0 coreDoc1 1 0.243200 Anserini",
@@ -191,6 +197,7 @@ CORE_GOLDEN_RUNS = {
 }
 
 
+@requires_reference(CORE_COLLECTION, CORE_TOPICS)
 def test_core_reference_golden_runs(ray_session, tmp_path_factory):
     from anserini_ray.index import IndexConfig, build_index
     from anserini_ray.search import LocalSearcher
@@ -204,9 +211,7 @@ def test_core_reference_golden_runs(ray_session, tmp_path_factory):
     m = build_index(ds, index_dir, IndexConfig(seg_shift=4), input_files=[])
     assert m.doc_count == 3  # CoreEndToEndTest ground truth
     s = LocalSearcher(index_dir)
-    topics = read_tsv_topics(
-        "/root/reference/src/test/resources/sample_topics/core_topics.tsv"
-    )
+    topics = read_tsv_topics(CORE_TOPICS)
     for qid, text in topics:
         docids, scores = s.search(text, k=1000)
         docids = [d.removesuffix(":0") for d in docids]
@@ -215,6 +220,7 @@ def test_core_reference_golden_runs(ray_session, tmp_path_factory):
 
 
 ACL_COLLECTION = "/root/reference/src/test/resources/sample_docs/acl"
+ACL_TOPICS = "/root/reference/src/test/resources/sample_topics/acl_topics.tsv"
 ACL_GOLDEN_RUNS = {
     1: [
         "1 Q0 C00-1007 1 0.294000 Anserini",
@@ -224,6 +230,7 @@ ACL_GOLDEN_RUNS = {
 }
 
 
+@requires_reference(ACL_COLLECTION, ACL_TOPICS)
 def test_acl_reference_golden_runs(ray_session, tmp_path_factory):
     from anserini_ray.index import IndexConfig, build_index
     from anserini_ray.search import LocalSearcher
@@ -237,9 +244,7 @@ def test_acl_reference_golden_runs(ray_session, tmp_path_factory):
     m = build_index(ds, index_dir, IndexConfig(seg_shift=4), input_files=[])
     assert m.doc_count == 3
     s = LocalSearcher(index_dir)
-    topics = read_tsv_topics(
-        "/root/reference/src/test/resources/sample_topics/acl_topics.tsv"
-    )
+    topics = read_tsv_topics(ACL_TOPICS)
     for qid, text in topics:
         docids, scores = s.search(text, k=1000)
         docids = [d.removesuffix(":0") for d in docids]
@@ -248,6 +253,7 @@ def test_acl_reference_golden_runs(ray_session, tmp_path_factory):
 
 
 TWEET_COLLECTION = "/root/reference/src/test/resources/sample_docs/tweets/collection1"
+TWEET_TOPICS = "/root/reference/src/test/resources/sample_topics/Microblog"
 TWEET_GOLDEN_CONTENTS = {
     "3": "This tweet will be indexed thanks",
     "5": "Can you think of more interesting contents",
@@ -260,6 +266,8 @@ TWEET_GOLDEN_RUN = [
 ]
 
 
+@requires_reference(f"{TWEET_COLLECTION}/tweets1.jsonl",
+                    f"{TWEET_COLLECTION}/tweets2.jsonl")
 def test_tweet_parser_matches_reference_contents():
     from anserini_ray.sources.tweet_collection import parse_tweets
 
@@ -270,6 +278,7 @@ def test_tweet_parser_matches_reference_contents():
     assert got == TWEET_GOLDEN_CONTENTS
 
 
+@requires_reference(TWEET_COLLECTION, TWEET_TOPICS)
 def test_tweet_reference_golden_run(ray_session, tmp_path_factory):
     """TweetEndToEndTest: TweetAnalyzer (whitespace + entity-preserving +
     Porter, NO stop filter), querytweettime filter via ts_range."""
@@ -290,9 +299,7 @@ def test_tweet_reference_golden_run(ray_session, tmp_path_factory):
     )
     assert m.doc_count == 4  # 9 objects - 3 deletes - 1 retweet - 1 maxId
     s = LocalSearcher(index_dir, analyzer_config={"type": "tweet"})
-    topics = read_microblog_topics(
-        "/root/reference/src/test/resources/sample_topics/Microblog"
-    )
+    topics = read_microblog_topics(TWEET_TOPICS)
     qid, query, tweettime = topics[0]
     assert (qid, query, tweettime) == (1, "think tweet", 7)
     docids, scores = s.search(query, k=1000, ts_range=(0, tweettime))

@@ -7,6 +7,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
+from conftest import requires_reference
 
 from anserini_ray.sources import generate_transcripts
 from anserini_ray.sources.topics import (
@@ -345,12 +346,16 @@ def test_model_score_stage(ray_session):
 
 
 
+JSON_SAMPLES = "/root/reference/src/test/resources/sample_docs/json"
+
+
+@requires_reference(JSON_SAMPLES)
 def test_json_collection_reference_fixtures():
     """All three reference JsonCollection layouts parse to the expected
     id/contents pairs (T/collection/JsonCollection*Test fixtures)."""
     from anserini_ray.sources.json_collection import parse_json_docs
 
-    base = "/root/reference/src/test/resources/sample_docs/json"
+    base = JSON_SAMPLES
     got1 = {}
     for f in ("doc1.json", "doc2.json"):
         got1.update(

@@ -4,18 +4,17 @@ unit tests (`T/search/topicreader/*Test.java`)."""
 
 import os
 
-import pytest
+from conftest import requires_reference
 
 TQ = "/root/reference/src/main/resources/topics-and-qrels"
 
 
 def _p(name):
-    path = os.path.join(TQ, name)
-    if not os.path.exists(path):
-        pytest.skip(f"{name} not bundled")
-    return path
+    return os.path.join(TQ, name)
 
 
+@requires_reference(_p("topics.terabyte05.efficiency.txt"),
+                    _p("topics.mq.1-10000.txt"))
 def test_web_topics():  # WebTopicReaderTest
     from anserini_ray.sources.topics import read_web_topics
 
@@ -30,6 +29,7 @@ def test_web_topics():  # WebTopicReaderTest
     assert mq[10000]["title"].strip() == "californa mission"
 
 
+@requires_reference(_p("topics.mq.20001-60000.txt"))
 def test_prioritized_web_topics():  # PrioritizedWebTopicReaderTest
     from anserini_ray.sources.topics import read_prioritized_web_topics
 
@@ -41,6 +41,7 @@ def test_prioritized_web_topics():  # PrioritizedWebTopicReaderTest
     assert t[60000]["priority"].strip() == "4"
 
 
+@requires_reference(_p("topics.web.1-50.txt"))
 def test_webxml_topics():  # WebxmlTopicReaderTest
     from anserini_ray.sources.topics import read_webxml_topics
 
@@ -50,6 +51,7 @@ def test_webxml_topics():  # WebxmlTopicReaderTest
     assert t[50]["title"].strip() == "dog heat"
 
 
+@requires_reference(_p("topics.car17v2.0.benchmarkY1test.txt"))
 def test_car_topics():  # CarTopicReaderTest
     from anserini_ray.analysis import make_analyzer
     from anserini_ray.sources.topics import read_car_topics
@@ -67,6 +69,7 @@ def test_car_topics():  # CarTopicReaderTest
     assert len(toks) == 4 and toks[3] == "recreat"
 
 
+@requires_reference(_p("topics.cacm.txt"))
 def test_cacm_topics():  # CacmTopicReaderTest
     from anserini_ray.sources.topics import read_cacm_topics
 
@@ -82,6 +85,8 @@ def test_cacm_topics():  # CacmTopicReaderTest
     )
 
 
+@requires_reference(_p("topics.www1.english.txt"),
+                    _p("topics.www2.english.txt"))
 def test_ntcir_topics():  # NtcirTopicReaderTest
     from anserini_ray.sources.topics import read_ntcir_topics
 
@@ -103,6 +108,7 @@ def test_ntcir_topics():  # NtcirTopicReaderTest
     )
 
 
+@requires_reference(_p("topics.backgroundlinking18.txt"))
 def test_background_linking_topics():  # BackgroundLinkingTopicReaderTest
     from anserini_ray.sources.topics import read_background_linking_topics
 

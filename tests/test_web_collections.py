@@ -1,9 +1,12 @@
 """Trecweb / CleanTrec / ClueWeb09 / ClueWeb12 parsers vs the reference's
 collection unit-test expectations (T/collection/*CollectionTest)."""
 
+from conftest import requires_reference
+
 SAMPLES = "/root/reference/src/test/resources/sample_docs"
 
 
+@requires_reference(f"{SAMPLES}/trecweb/collection1/segment1.txt")
 def test_trecweb_matches_reference():
     from anserini_ray.sources.web_collections import parse_trecweb_file
 
@@ -17,6 +20,7 @@ def test_trecweb_matches_reference():
         assert contents == "Wh at ever here will be parsed asdf"
 
 
+@requires_reference(f"{SAMPLES}/clean_trec/collection1/segment1.txt")
 def test_clean_trec_matches_reference():
     from anserini_ray.sources.web_collections import parse_clean_trec_file
 
@@ -32,6 +36,7 @@ def test_clean_trec_matches_reference():
         assert c == r
 
 
+@requires_reference(f"{SAMPLES}/cw09/collection1/segment1.warc.gz")
 def test_clueweb09_matches_reference():
     from anserini_ray.sources.web_collections import parse_clueweb_file
 
@@ -44,6 +49,7 @@ def test_clueweb09_matches_reference():
     assert contents == "whatever here will be included"
 
 
+@requires_reference(f"{SAMPLES}/cw12/collection1/segment1.warc.gz")
 def test_clueweb12_matches_reference():
     from anserini_ray.sources.web_collections import parse_clueweb_file
 
@@ -57,6 +63,7 @@ def test_clueweb12_matches_reference():
     assert contents == "whatever here will be included"
 
 
+@requires_reference(f"{SAMPLES}/trecweb/collection1")
 def test_trecweb_end_to_end(ray_session, tmp_path_factory):
     from anserini_ray.index import IndexConfig, build_index
     from anserini_ray.search import LocalSearcher
@@ -72,6 +79,7 @@ def test_trecweb_end_to_end(ray_session, tmp_path_factory):
     assert set(d) == {"WEB-0001:0", "WEB-0003:0"}
 
 
+@requires_reference(f"{SAMPLES}/washingtonpost/collection1/articles.jl")
 def test_wapo_matches_reference():
     from anserini_ray.sources.wapo_collection import parse_wapo
 
@@ -90,6 +98,7 @@ def test_wapo_matches_reference():
     assert by_id["5f992bbc-4b9f-11e2-a6a6-aabac85e8036"] == expected
 
 
+@requires_reference(f"{SAMPLES}/nyt/collection1/segment1.xml")
 def test_nyt_matches_reference():
     from anserini_ray.sources.nyt_collection import parse_nyt_xml
 
@@ -101,6 +110,7 @@ def test_nyt_matches_reference():
     )
 
 
+@requires_reference(f"{SAMPLES}/wikipedia/collection1/articles.xml.bz2")
 def test_wikipedia_matches_reference():
     import bz2
 
