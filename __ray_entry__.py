@@ -42,7 +42,11 @@ def _ensure_index(sf_dir: str, norm_mode: str = "lucene") -> str:
     tag = hashlib.sha1(f"{sf_dir}|{norm_mode}".encode()).hexdigest()[:12]
     index_dir = f"/tmp/anserini_ray_index_{tag}"
     try:
-        if IndexManifest.read(index_dir).fingerprint == fp:
+        # an index without unit markers came from an older builder: rebuild,
+        # so that the oracles check what build_index produces now
+        if IndexManifest.read(index_dir).fingerprint == fp and os.path.isdir(
+            os.path.join(index_dir, "units")
+        ):
             return index_dir
     except (FileNotFoundError, KeyError, TypeError):
         pass

@@ -44,11 +44,21 @@ def _init_ray(num_cpus: int | None):
         )
 
 
-def _load_collection(path: str, kind: str, max_id):
-    import ray.data
+def _input_files(path: str, suffix: str = "") -> list[str]:
+    """The files under -input (the path itself when it is a file); in a
+    directory only the names ending in `suffix`."""
+    if not os.path.isdir(path):
+        return [path]
+    return sorted(
+        os.path.join(r, f)
+        for r, _, fs in os.walk(path)
+        for f in fs
+        if f.endswith(suffix)
+    )
 
-    if kind == "parquet":
-        return ray.data.read_parquet(path)
+
+def _load_collection(path: str, kind: str, max_id):
+    """Transcript-shaped Dataset of a non-Parquet collection."""
     if kind == "json":
         from .sources.json_collection import read_json_collection
 
@@ -168,37 +178,20 @@ def cmd_index(argv) -> int:
         shard_count=a.shard_count,
         shard_current=a.shard_current,
     )
-    input_paths = None
-    if (
-        a.collection == "parquet"
-        and a.assumeSorted
-        and wl is None
-        and not a.uniqueDocid
-    ):
-        # sorted parquet input: hand the file list to build_index so the
-        # STREAMING path (metadata ordinals, unit resume) is used
-        import os as _os
-
-        if _os.path.isdir(a.input):
-            input_paths = sorted(
-                _os.path.join(r, f)
-                for r, _, fs in _os.walk(a.input)
-                for f in fs
-                if f.endswith(".parquet")
-            )
-        elif a.input.endswith(".parquet"):
-            input_paths = [a.input]
-    if input_paths:
+    if a.collection == "parquet":
         m = build_index(
-            index_dir=a.index, config=cfg, input_paths=input_paths
+            index_dir=a.index,
+            config=cfg,
+            input_paths=_input_files(a.input, ".parquet"),
+            whitelist=wl,
+            dedup_docids=a.uniqueDocid,
         )
     else:
-        ds = _load_collection(a.input, a.collection, a.tweet_max_id)
         m = build_index(
-            ds,
+            _load_collection(a.input, a.collection, a.tweet_max_id),
             a.index,
             cfg,
-            input_files=[],
+            input_files=_input_files(a.input),
             whitelist=wl,
             dedup_docids=a.uniqueDocid,
         )

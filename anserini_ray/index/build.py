@@ -1,55 +1,35 @@
-"""Distributed inverted-index build — the Ray-Data-native replacement for the
+"""Inverted-index build — the Ray-Data-native replacement for the
 reference's Lucene `IndexWriter` path (`J/index/IndexCollection.java:729-893`).
 
-Streaming DAG:
+`build_index` is the one entry point and `streaming.py` the one builder (see
+its docstring for the unit DAG); inputs that are not sorted Parquet files are
+staged as a sorted Parquet copy first. This module holds the kernels the
+builder runs:
 
-  read_parquet(transcripts)                                  [pruned columns]
-    → map_batches(TokenizeDocs)         per-doc (conv_id, turn_idx, dl,
-                                         terms, tfs [, positions]);
-                                         whitespace-empty docs dropped +
-                                         counted, per-doc errors counted via
-                                         a named counter actor (reference
-                                         analog: EmptyDocumentException,
-                                         DefaultLuceneDocumentGenerator.java:64-66)
-    → [sort(conv_id, turn_idx)]         SKIPPED on the assume_sorted fast
-                                        path (order verified block-by-block,
-                                        automatic fallback); tie-break parity:
-                                        results are later sorted by docid
-                                        string (SearchCollection.java:115-116)
-    → ordinal assignment                per-block prefix-sum offsets (driver
-                                        holds ONE int per block, never rows)
-    → map_batches(encode_subblocks)     explode to postings and IMMEDIATELY
-                                        delta-gap + varint encode per
-                                        (segment, term) run *within the
-                                        batch*. Sorted blocks are disjoint
-                                        contiguous ordinal ranges, so runs
-                                        never overlap — hot-term skew is
-                                        bounded by encode batch size by
-                                        construction, with NO postings
-                                        shuffle at all. Runs store their
-                                        absolute first ordinal and ARE the
-                                        on-disk posting format (readers
-                                        concatenate a term's runs; see
-                                        optimize.py for the force-merge
-                                        compaction). Per-block (≤128 docs)
-                                        max-tf / min-dl impact metadata for
-                                        block-max pruning.
-    → write_parquet(partition_cols=[segment_id])    streamed — no
-                                        materialize, no sort
-  + docmap  (doc_ord, conv_id, turn_idx, dl[, ts])  partitioned by segment
-  + docvecs (optional forward index for PRF)        partitioned by segment
-  + termstats (term, global df, global cf)          ONE sort-based
-                                        groupby(term) + broadcast map-side
-                                        join (hash join above a vocab cap)
-  + manifests                           per-segment lineage + stage timings;
-                                        resume skips finished segments.
+  tokenize_table        per-doc (conv_id, turn_idx, dl, terms, tfs
+                        [, positions]); whitespace-empty docs dropped and
+                        counted (reference analog: EmptyDocumentException,
+                        DefaultLuceneDocumentGenerator.java:64-66), per-doc
+                        analyzer errors dropped and counted
+  make_subblock_encoder explode to postings and IMMEDIATELY delta-gap +
+                        varint encode per (segment, term) run *within the
+                        batch*. Runs store their absolute first ordinal and
+                        ARE the on-disk posting format (readers concatenate a
+                        term's runs; see optimize.py for the force-merge
+                        compaction), with per-block (<=128 docs) max-tf /
+                        min-dl impact metadata for block-max pruning
+  write_termstats       (term, global df, global cf) per segment: one
+                        Arrow-kernel hash aggregate + broadcast map-side
+                        join (hash join above a vocab cap)
+
+Tie-break parity: results are sorted by docid string
+(SearchCollection.java:115-116), so doc order only fixes ordinals.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 import pyarrow as pa
@@ -59,12 +39,7 @@ import ray
 import ray.data
 
 from ..analysis.analyzer import make_analyzer
-from ..state.manifest import (
-    IndexManifest,
-    SegmentManifest,
-    completed_segments,
-    input_fingerprint,
-)
+from ..state.manifest import IndexManifest, input_fingerprint
 from .varint import varint_encode, varint_sizes
 
 INDEX_FORMAT_VERSION = 2  # v2: pos_blob run column + optional ts in docmap
@@ -79,11 +54,12 @@ class IndexConfig:
     analyzer: dict = field(default_factory=dict)
     norm_mode: str = "lucene"    # "lucene" (byte4-quantized dl) | "accurate"
     resume: bool = False
-    # Input already globally ordered by (conv_id, turn_idx)? Then the global
-    # sort shuffle is skipped; ordinal assignment VERIFIES the order block by
-    # block (vectorized) and the build falls back to sorting if violated.
-    # Transcript corpora are typically stored in conversation order, making
-    # this the common fast path — it removes the only corpus-sized shuffle.
+    # Input files already globally ordered by (conv_id, turn_idx)? Then the
+    # staging sort is skipped; the streaming build VERIFIES the order (units
+    # internally, unit boundaries on the driver) and build_index falls back
+    # to sorting if violated. Transcript corpora are typically stored in
+    # conversation order, making this the common fast path — it removes the
+    # only corpus-sized shuffle.
     assume_sorted: bool = False
     # partition count for the wide groupby shuffles (None = Ray default);
     # size ≈ 2-4x total cluster cores at real scale
@@ -154,49 +130,25 @@ def _process_analyzer(analyzer_config: dict | None):
 
 class TokenizeDocs:
     """map_batches stage (works as a task fn via TokenizeDocs(cfg) or as a
-    callable class). With store_positions, also emits per-(doc, term) token
-    position lists (Lucene `-storePositions` analog,
+    callable class) over `tokenize_table`. With store_positions, also emits
+    per-(doc, term) token position lists (Lucene `-storePositions` analog,
     `J/index/IndexArgs.java:69-72`) — roughly doubles the tokenized payload,
-    enabling phrase/proximity queries.
-
-    A doc whose analysis raises is DROPPED and counted, not fatal (reference
-    analog: per-doc exception -> error counter, IndexCollection.java:249-251
-    — except the reference loses the whole FILE; we lose one doc). Error
-    counts flow through an optional named counter actor."""
+    enabling phrase/proximity queries."""
 
     def __init__(
         self,
         analyzer_config: dict | None = None,
         store_positions: bool = False,
-        error_counter_name: str | None = None,
         shard: tuple[int, int] | None = None,
     ):
         self.analyzer_config = analyzer_config
         self.store_positions = store_positions
-        self.error_counter_name = error_counter_name
         self.shard = shard
 
-    def _count_errors(self, n: int) -> None:
-        if n and self.error_counter_name:
-            try:
-                ray.get_actor(self.error_counter_name).add.remote(n)
-            except ValueError:
-                pass
-
-    def _count_skipped(self, n: int) -> None:
-        if n and self.error_counter_name:
-            try:
-                ray.get_actor(self.error_counter_name).add_skipped.remote(n)
-            except (ValueError, AttributeError):
-                pass
-
     def __call__(self, batch: pa.Table) -> pa.Table:
-        table, _idx, n_errors, n_skipped = tokenize_table(
+        return tokenize_table(
             batch, self.analyzer_config, self.store_positions, self.shard
-        )
-        self._count_errors(n_errors)
-        self._count_skipped(n_skipped)
-        return table
+        )[0]
 
 
 def tokenize_table(
@@ -209,7 +161,11 @@ def tokenize_table(
     indices, error count, shard-skipped count). The kept-index array lets
     callers derive deterministic ordinals from input row positions
     (streaming build). `shard=(count, current)` applies the reference's
-    sha1 shard filter before analysis (skips counted separately)."""
+    sha1 shard filter before analysis (skips counted separately).
+
+    A doc whose analysis raises is DROPPED and counted, not fatal (reference
+    analog: per-doc exception -> error counter, IndexCollection.java:249-251
+    — except the reference loses the whole FILE; we lose one doc)."""
     texts = batch["text"].to_pylist()
     n_skipped = 0
     shard_keep = None
@@ -308,78 +264,8 @@ def tokenize_table(
     return pa.Table.from_arrays(cols, names=names), idx, n_errors, n_skipped
 
 
-@ray.remote
-class _ErrorCounter:
-    def __init__(self):
-        self.n = 0
-        self.skipped = 0
-
-    def add(self, k: int) -> None:
-        self.n += k
-
-    def add_skipped(self, k: int) -> None:
-        self.skipped += k
-
-    def value(self) -> int:
-        return self.n
-
-    def skipped_value(self) -> int:
-        return self.skipped
-
-
-@ray.remote
-def _block_num_rows(table: pa.Table) -> int:
-    return table.num_rows
-
-
-@ray.remote
-def _block_rows_and_bounds(table: pa.Table):
-    """(num_rows, internally_sorted, first_key, last_key) for one block —
-    the per-block half of the assume_sorted verification."""
-    n = table.num_rows
-    if n == 0:
-        return 0, True, None, None
-    conv = table["conv_id"]
-    turn = table["turn_idx"]
-    c0, c1 = conv.slice(0, n - 1), conv.slice(1)
-    t0, t1 = turn.slice(0, n - 1), turn.slice(1)
-    ok = bool(
-        pc.all(
-            pc.or_(
-                pc.less(c0, c1),
-                pc.and_(pc.equal(c0, c1), pc.less(t0, t1)),
-            )
-        ).as_py()
-        if n > 1
-        else True
-    )
-    first = (conv[0].as_py(), turn[0].as_py())
-    last = (conv[n - 1].as_py(), turn[n - 1].as_py())
-    return n, ok, first, last
-
-
-@ray.remote
-def _attach_ordinals(table: pa.Table, offset: int) -> pa.Table:
-    ords = pa.array(offset + np.arange(table.num_rows, dtype=np.int64))
-    return table.append_column("doc_ord", ords)
-
-
 class NotSortedError(ValueError):
     pass
-
-
-def _is_not_sorted(e: BaseException) -> bool:
-    """True if e is (or wraps, through Ray task-error layers) NotSortedError.
-    Ray may bury the user exception under RayTaskError(UserCodeException), so
-    the pickled traceback string is the fallback signal."""
-    seen = 0
-    root = e
-    while e is not None and seen < 8:
-        if isinstance(e, NotSortedError) or type(e).__name__ == "NotSortedError":
-            return True
-        e = getattr(e, "cause", None) or getattr(e, "__cause__", None)
-        seen += 1
-    return "NotSortedError" in str(root)
 
 
 def _input_columns(paths: list[str]) -> list[str]:
@@ -389,43 +275,6 @@ def _input_columns(paths: list[str]) -> list[str]:
         pq.read_metadata(sorted(paths)[0]).schema.to_arrow_schema().names
     )
     return [c for c in ("conv_id", "turn_idx", "text", "ts") if c in names]
-
-
-def _assign_ordinals(ds, verify_sorted: bool = False):
-    """Deterministic global doc ordinals over a (sorted) materialized dataset.
-
-    The driver holds one integer per block (the prefix sum), never row data —
-    this is the scalable equivalent of a global row_number() without a second
-    shuffle. Raw Ray tasks are used here because map_batches cannot see block
-    position (a documented Dataset-API gap).
-
-    With verify_sorted=True (the assume_sorted fast path), every block is
-    checked for internal (conv_id, turn_idx) order and the driver checks the
-    cross-block boundaries; NotSortedError triggers the caller's fallback to
-    a real sort."""
-    mat = ds.materialize()
-    refs = mat.to_arrow_refs()
-    if verify_sorted:
-        info = ray.get([_block_rows_and_bounds.remote(r) for r in refs])
-        counts = [i[0] for i in info]
-        prev_last = None
-        for n, ok, first, last in info:
-            if n == 0:
-                continue
-            if not ok:
-                raise NotSortedError("block not internally sorted")
-            if prev_last is not None and first <= prev_last:
-                raise NotSortedError(
-                    f"block boundary out of order: {first} after {prev_last}"
-                )
-            prev_last = last
-    else:
-        counts = ray.get([_block_num_rows.remote(r) for r in refs])
-    offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-    new_refs = [
-        _attach_ordinals.remote(r, int(off)) for r, off in zip(refs, offsets[:-1])
-    ]
-    return ray.data.from_arrow_refs(new_refs), int(offsets[-1])
 
 
 def _encode_term_run(
@@ -474,7 +323,7 @@ def _encode_term_run(
     )
 
 
-def make_subblock_encoder(seg_shift: int, block_size: int, skip_segments: frozenset):
+def make_subblock_encoder(seg_shift: int, block_size: int):
     """Vectorized map_batches fn: explode tokenized docs to postings and
     encode per-(segment, term) varint sub-blocks within the batch. When the
     batch carries a `positions` column, each run also gets a pos_blob:
@@ -516,12 +365,6 @@ def make_subblock_encoder(seg_shift: int, block_size: int, skip_segments: frozen
         s_ord = post_ord[order]
         s_tf = flat_tfs[order]
         s_dl = post_dl[order]
-        if skip_segments:
-            keep = ~np.isin(s_seg, np.asarray(sorted(skip_segments)))
-            kept_idx = np.flatnonzero(keep)
-            order = order[kept_idx]
-            s_seg, s_code = s_seg[kept_idx], s_code[kept_idx]
-            s_ord, s_tf, s_dl = s_ord[kept_idx], s_tf[kept_idx], s_dl[kept_idx]
         npost = s_seg.size
         if npost == 0:
             return _empty_subblock_table()
@@ -727,8 +570,8 @@ def _hash_agg_term_stats(skinny, shuffle_partitions: int | None):
     return ray.data.from_arrow_refs(merged)
 
 
-def write_termstats(skinny, index_dir: str, shuffle_partitions: int | None,
-                    term_counts: dict[int, int] | None = None) -> dict[int, int]:
+def write_termstats(skinny, index_dir: str,
+                    shuffle_partitions: int | None) -> None:
     """Global df/cf per term + per-segment termstats sidecars from the skinny
     (segment_id, term, df, cf) rows. The sidecar is first deduplicated to ONE
     row per (segment_id, term) via the Arrow-kernel hash aggregate — skinny
@@ -737,9 +580,7 @@ def write_termstats(skinny, index_dir: str, shuffle_partitions: int | None,
     139.8M-row / 1.7 GB sidecar whose load-time sort cost 275 s; distinct it
     is 1M rows). The global stats are attached back via a broadcast map-side
     join (`ray.put` once, read per task, vectorized `pc.index_in` hash
-    lookup) below a vocab cap, or a distributed hash join above it. Returns
-    per-segment posting-run row counts (manifest metadata), computed as
-    narrow map partials."""
+    lookup) below a vocab cap, or a distributed hash join above it."""
     from ..stages.hashagg import hash_aggregate
 
     per_seg = hash_aggregate(
@@ -802,64 +643,28 @@ def write_termstats(skinny, index_dir: str, shuffle_partitions: int | None,
     stats.write_parquet(
         os.path.join(index_dir, "termstats"), partition_cols=["segment_id"]
     )
-    if term_counts is not None:
-        # caller already knows per-segment run-row counts (streaming
-        # markers) — skip the extra counting pass
-        return term_counts
-    # posting-run rows per segment (manifest metadata; narrow partial sums)
-    term_counts = {}
-    for r in (
-        skinny.select_columns(["segment_id"])
-        .map_batches(
-            lambda b: pa.table(
-                {
-                    "segment_id": pa.array(
-                        np.unique(b["segment_id"].to_numpy())
-                    ),
-                    "cnt": pa.array(
-                        np.unique(
-                            b["segment_id"].to_numpy(), return_counts=True
-                        )[1],
-                        type=pa.int64(),
-                    ),
-                }
-            ),
-            batch_format="pyarrow",
+
+
+def _stage_columns(whitelist):
+    """map_batches fn of the staging copy: keep the transcript columns and,
+    with a whitelist, only the listed docids (broadcast-set semi-join)."""
+    wl_ref = ray.put(frozenset(whitelist)) if whitelist is not None else None
+
+    def stage(batch: pa.Table) -> pa.Table:
+        batch = batch.select(
+            [c for c in ("conv_id", "turn_idx", "text", "ts")
+             if c in batch.column_names]
         )
-        .take_all()
-    ):
-        sid = int(r["segment_id"])
-        term_counts[sid] = term_counts.get(sid, 0) + int(r["cnt"])
-    return term_counts
+        if wl_ref is None:
+            return batch
+        wl = ray.get(wl_ref)
+        return batch.filter(pa.array([
+            f"{c}:{t}" in wl
+            for c, t in zip(batch["conv_id"].to_pylist(),
+                            batch["turn_idx"].to_pylist())
+        ]))
 
-
-def _clean_for_build(index_dir: str, keep_segments: frozenset) -> None:
-    """Remove index artifacts that the coming build will rewrite, keeping the
-    partitions of resumable (finished, fingerprint-matching) segments.
-    write_parquet appends files into existing partition dirs, so stale files
-    must be gone before a rebuild."""
-    import re
-    import shutil
-
-    for sub in ("postings", "docmap", "docvecs"):
-        root = os.path.join(index_dir, sub)
-        if not os.path.isdir(root):
-            continue
-        for entry in os.listdir(root):
-            m = re.match(r"segment_id=(\d+)$", entry)
-            path = os.path.join(root, entry)
-            if m and int(m.group(1)) in keep_segments:
-                continue
-            shutil.rmtree(path, ignore_errors=True)
-    # termstats hold GLOBAL stats → always rebuilt
-    shutil.rmtree(os.path.join(index_dir, "termstats"), ignore_errors=True)
-    man_dir = os.path.join(index_dir, "manifests")
-    if os.path.isdir(man_dir):
-        for entry in os.listdir(man_dir):
-            m = re.match(r"seg-(\d+)\.json$", entry)
-            if m and int(m.group(1)) in keep_segments:
-                continue
-            os.unlink(os.path.join(man_dir, entry))
+    return stage
 
 
 def build_index(
@@ -872,56 +677,50 @@ def build_index(
     dedup_docids: bool = False,
     input_paths: list[str] | None = None,
 ) -> IndexManifest:
-    """Build the inverted index from a transcripts Dataset into index_dir.
+    """Build the inverted index from a transcripts Dataset or Parquet files
+    into index_dir; returns the global IndexManifest.
 
-    Returns the global IndexManifest. With config.resume=True, segments whose
-    manifests match the input/config fingerprint are skipped (their postings
-    and docmap partitions are kept).
+    Every build runs the streaming builder (`streaming.py`). Sorted Parquet
+    `input_paths` with config.assume_sorted go to it directly. Any other
+    input — a Dataset, a whitelist, dedup_docids, or files whose units
+    overlap — is first staged: filtered, sorted by (conv_id, turn_idx) and
+    written as Parquet into `index_dir/staging`, which the streaming builder
+    reads and which is removed afterwards.
 
-    input_paths: when the input is sorted Parquet on disk (the common
-    transcript-corpus case), pass the file list here instead of (or in
-    addition to) a Dataset — the build takes the STREAMING path
-    (`streaming.py`): ordinals from parquet metadata, one fused
-    tokenize→encode→write pass, no corpus materialization, unit-granular
-    resume. Falls back to the sort-based Dataset path automatically if the
-    input turns out not to be (conv_id, turn_idx)-sorted.
-
+    input_files: the files a Dataset was read from. They (else input_paths)
+    and the config make the fingerprint that config.resume matches, so
+    resume needs one of them.
     whitelist: optional iterable of docids ("conv:turn") — only these are
-    indexed (broadcast-set semi-join; reference `-whitelist`,
-    IndexCollection.java:208-211, 707-712).
+    indexed (reference `-whitelist`, IndexCollection.java:208-211, 707-712).
     dedup_docids: last-write-wins upsert per (conv_id, turn_idx) by ts
     (reference `-uniqueDocid` updateDocument, IndexCollection.java:213-217);
-    requires the ts column and forces the sort path."""
-    import time as _time
+    requires the ts column."""
+    import glob
+    import shutil
+
+    from . import streaming
 
     config = config or IndexConfig()
-
+    fp_files = input_files or input_paths or []
+    if config.resume and not fp_files:
+        raise ValueError(
+            "resume needs input_files or input_paths to fingerprint the input"
+        )
     if (
         input_paths is not None
         and config.assume_sorted
         and whitelist is None
         and not dedup_docids
     ):
-        from .streaming import build_index_streaming
-
         try:
-            return build_index_streaming(
+            return streaming.build_index_streaming(
                 input_paths, index_dir, config, total_input=total_input
             )
-        except Exception as e:  # NotSortedError possibly wrapped by Ray
-            if not _is_not_sorted(e):
-                raise
-            import shutil
-
-            for sub in ("postings", "docmap", "docvecs", "termstats",
-                        "manifests", "units"):
-                shutil.rmtree(os.path.join(index_dir, sub), ignore_errors=True)
-            if transcripts is None:
-                transcripts = ray.data.read_parquet(
-                    sorted(input_paths), columns=_input_columns(input_paths)
-                )
-            config.assume_sorted = False
-            input_files = input_files or list(input_paths)
+        except NotSortedError:
+            # units overlap: build from a sorted staging copy instead, after
+            # dropping this attempt's units (they carry the same fingerprint,
+            # so a resumed staged build could otherwise keep them)
+            streaming._clean_streaming(index_dir, set())
 
     if transcripts is None:
         if input_paths is None:
@@ -929,276 +728,31 @@ def build_index(
         transcripts = ray.data.read_parquet(
             sorted(input_paths), columns=_input_columns(input_paths)
         )
-        input_files = input_files or list(input_paths)
-    os.makedirs(index_dir, exist_ok=True)
-    fingerprint = input_fingerprint(
-        input_files or [], config.repr_for_fingerprint()
-    )
-    skip = (
-        frozenset(completed_segments(index_dir, fingerprint))
-        if config.resume
-        else frozenset()
-    )
-    _clean_for_build(index_dir, skip)
-
-    stage_secs: dict[str, float] = {}
-    _t = _time.perf_counter()
-
-    def _mark(stage: str) -> None:
-        nonlocal _t
-        now = _time.perf_counter()
-        stage_secs[stage] = round(now - _t, 3)
-        _t = now
-
-    if whitelist is not None:
-        wl_ref = ray.put(frozenset(whitelist))
-
-        def wl_filter(batch: pa.Table) -> pa.Table:
-            wl = ray.get(wl_ref)
-            mask = pa.array(
-                [
-                    f"{c}:{t}" in wl
-                    for c, t in zip(
-                        batch["conv_id"].to_pylist(),
-                        batch["turn_idx"].to_pylist(),
-                    )
-                ]
-            )
-            return batch.filter(mask)
-
-        transcripts = transcripts.map_batches(wl_filter, batch_format="pyarrow")
-
+    ds = transcripts.map_batches(_stage_columns(whitelist),
+                                 batch_format="pyarrow")
     if dedup_docids:
         if "ts" not in transcripts.schema().names:
             raise ValueError("dedup_docids requires the ts column")
         from ..stages.dedup import unique_by_key
 
-        transcripts = unique_by_key(
-            transcripts, ["conv_id", "turn_idx"], "ts", keep="last"
-        )
-        # groupby output order is not conversation order
-        config.assume_sorted = False
-
-    if total_input is None:
-        # One extra streaming pass just to count input rows (counter parity
-        # with IndexCollection.java:880-890). Callers that know the input
-        # cardinality (e.g. from parquet metadata) should pass total_input.
-        total_input = transcripts.count()
-
-    # Block order IS doc order for the assume_sorted path. A Dataset snapshots
-    # its DataContext at creation, so we must flip preserve_order on the
-    # CALLER-created dataset's captured context (mutating the global context
-    # here would silently not apply — and out-of-order blocks would demote
-    # every build to the sort fallback).
-    ds_ctx = transcripts.context
-    prev_preserve = ds_ctx.execution_options.preserve_order
-    ds_ctx.execution_options.preserve_order = True
+        ds = unique_by_key(ds, ["conv_id", "turn_idx"], "ts", keep="last")
+    staging = os.path.join(index_dir, "staging")
+    shutil.rmtree(staging, ignore_errors=True)
     try:
-        err_name = f"anserini_err_{os.getpid()}_{abs(hash(index_dir)) % 10**8}"
-        err_counter = _ErrorCounter.options(name=err_name).remote()
-        tokenized = transcripts.map_batches(
-            TokenizeDocs(config.analyzer, config.store_positions, err_name,
-                         shard=config.shard),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
+        # Ray names the files by write-task index, so name order is key order
+        ds.sort(["conv_id", "turn_idx"]).write_parquet(
+            staging,
+            min_rows_per_file=streaming.UNIT_TARGET_ROWS,
+            max_rows_per_file=streaming.UNIT_TARGET_ROWS,
         )
-        if config.assume_sorted:
-            try:
-                with_ords, indexed_count = _assign_ordinals(
-                    tokenized, verify_sorted=True
-                )
-            except NotSortedError:
-                # input wasn't ordered after all — fall back to the sort
-                with_ords, indexed_count = _assign_ordinals(
-                    tokenized.sort(["conv_id", "turn_idx"])
-                )
-        else:
-            with_ords, indexed_count = _assign_ordinals(
-                tokenized.sort(["conv_id", "turn_idx"])
-            )
+        return streaming.build_index_streaming(
+            sorted(glob.glob(os.path.join(staging, "*.parquet"))),
+            index_dir,
+            config,
+            total_input=total_input,
+            fingerprint=input_fingerprint(
+                fp_files, config.repr_for_fingerprint()
+            ),
+        )
     finally:
-        ds_ctx.execution_options.preserve_order = prev_preserve
-    _mark("tokenize_sort_ordinals")
-
-    # --- docmap (doc_ord → identity + doc length), partitioned by segment ---
-    seg_shift = config.seg_shift
-
-    def project_docmap(batch: pa.Table) -> pa.Table:
-        ords = batch["doc_ord"].to_numpy()
-        segs = pa.array((ords >> seg_shift).astype(np.int64))
-        cols = [
-            batch["doc_ord"],
-            batch["conv_id"],
-            batch["turn_idx"],
-            batch["dl"],
-            segs,
-        ]
-        names = ["doc_ord", "conv_id", "turn_idx", "dl", "segment_id"]
-        if "ts" in batch.column_names:
-            cols.append(batch["ts"])
-            names.append("ts")
-        return pa.Table.from_arrays(cols, names=names)
-
-    # with_ords is backed by already-computed object refs, so consuming the
-    # docmap projection twice (write + stats) just re-runs a trivial map —
-    # no full materialization needed
-    docmap = with_ords.map_batches(project_docmap, batch_format="pyarrow")
-    new_docmap = docmap
-    if skip:
-
-        def drop_done_docs(batch: pa.Table) -> pa.Table:
-            mask = ~np.isin(batch["segment_id"].to_numpy(), list(skip))
-            return batch.filter(pa.array(mask))
-
-        new_docmap = docmap.map_batches(drop_done_docs, batch_format="pyarrow")
-    new_docmap.write_parquet(
-        os.path.join(index_dir, "docmap"), partition_cols=["segment_id"]
-    )
-    _mark("docmap_write")
-
-    if config.store_docvecs:
-
-        def project_docvecs(batch: pa.Table) -> pa.Table:
-            ords = batch["doc_ord"].to_numpy()
-            segs = pa.array((ords >> seg_shift).astype(np.int64))
-            out = pa.Table.from_arrays(
-                [batch["doc_ord"], batch["terms"], batch["tfs"], segs],
-                names=["doc_ord", "terms", "tfs", "segment_id"],
-            )
-            if skip:
-                mask = ~np.isin(out["segment_id"].to_numpy(), list(skip))
-                out = out.filter(pa.array(mask))
-            return out
-
-        with_ords.map_batches(
-            project_docvecs, batch_format="pyarrow"
-        ).write_parquet(
-            os.path.join(index_dir, "docvecs"), partition_cols=["segment_id"]
-        )
-        _mark("docvecs_write")
-
-    # --- postings: explode + encode sub-block runs; sub-block rows ARE the
-    # on-disk format. Each row stores its absolute first ordinal, so the
-    # reader concatenates a term's rows without any re-encoding — no
-    # per-(term) merge stage exists at all (a per-group Python merge was
-    # measured at ~8ms/group and scales with vocab x segments; a sort of the
-    # compressed rows is vectorized and scales with bytes).
-    encoder = make_subblock_encoder(seg_shift, config.block_size, skip)
-    # batch_size bundles consecutive blocks into one encode task: longer
-    # per-term runs => fewer sub-block rows
-    subblocks = with_ords.map_batches(
-        encoder,
-        batch_format="pyarrow",
-        batch_size=config.encode_batch_size,
-    )
-    # stream straight to partitioned parquet: no materialize (object-store
-    # pressure at scale) and no locality sort (readers order a partition's
-    # rows at load; the shuffle would move the whole compressed index)
-    subblocks.write_parquet(
-        os.path.join(index_dir, "postings"), partition_cols=["segment_id"]
-    )
-    _mark("encode_write")
-
-    # --- term stats: ONE sort-based groupby(term) for global df/cf, then a
-    # broadcast map-side join back onto the per-segment rows (ray.put once,
-    # read per task). Dataset.join (hash-shuffle aggregator actors) only as
-    # the fallback when the vocabulary exceeds the broadcast threshold.
-    # stats come from a column-pruned read-back of what was just written —
-    # only (term, df, cf) bytes leave disk, and on resume this naturally
-    # covers kept segments too
-    skinny = ray.data.read_parquet(
-        os.path.join(index_dir, "postings"),
-        columns=["term", "df", "cf", "segment_id"],
-    ).materialize()
-    term_counts = write_termstats(skinny, index_dir, config.shuffle_partitions)
-    _mark("termstats")
-
-    # --- per-segment doc stats: narrow map partials + driver combine (one
-    # dict entry per segment on the driver — no shuffle) ---
-    def seg_partials(batch: pa.Table):
-        segs = batch["segment_id"].to_numpy()
-        dls = batch["dl"].to_numpy()
-        uniq = np.unique(segs)
-        return pa.table(
-            {
-                "segment_id": pa.array(uniq),
-                "cnt": pa.array(
-                    [int((segs == s).sum()) for s in uniq], type=pa.int64()
-                ),
-                "sdl": pa.array(
-                    [int(dls[segs == s].sum()) for s in uniq], type=pa.int64()
-                ),
-            }
-        )
-
-    seg_counts: dict[int, int] = {}
-    seg_sum_dl: dict[int, int] = {}
-    for r in docmap.map_batches(seg_partials, batch_format="pyarrow").take_all():
-        sid = int(r["segment_id"])
-        seg_counts[sid] = seg_counts.get(sid, 0) + int(r["cnt"])
-        seg_sum_dl[sid] = seg_sum_dl.get(sid, 0) + int(r["sdl"])
-    seg_rows = [
-        {"segment_id": sid, "count()": seg_counts[sid], "sum(dl)": seg_sum_dl[sid]}
-        for sid in sorted(seg_counts)
-    ]
-    _mark("collection_stats")
-
-    if skip:
-        # preserve num_terms recorded by the original build of kept segments
-        import glob as _glob
-        import json as _json
-
-        for p in _glob.glob(os.path.join(index_dir, "manifests", "seg-*.json")):
-            with open(p) as f:
-                m = _json.load(f)
-            if int(m["segment_id"]) in skip:
-                term_counts.setdefault(int(m["segment_id"]), int(m["num_terms"]))
-
-    doc_count = 0
-    sum_dl = 0
-    segments = []
-    for r in sorted(seg_rows, key=lambda r: int(r["segment_id"])):
-        sid = int(r["segment_id"])
-        cnt = int(r["count()"])
-        sdl = int(r["sum(dl)"])
-        doc_count += cnt
-        sum_dl += sdl
-        sm = SegmentManifest(
-            segment_id=sid,
-            base_ord=sid << seg_shift,
-            doc_count=cnt,
-            sum_dl=sdl,
-            num_terms=term_counts.get(sid, 0),
-            fingerprint=fingerprint,
-        )
-        sm.write(index_dir)
-        segments.append(
-            {"segment_id": sid, "doc_count": cnt, "sum_dl": sdl,
-             "num_terms": term_counts.get(sid, 0)}
-        )
-
-    n_errors_total = int(ray.get(err_counter.value.remote()))
-    n_skipped_total = int(ray.get(err_counter.skipped_value.remote()))
-    ray.kill(err_counter)
-    manifest = IndexManifest(
-        version=INDEX_FORMAT_VERSION,
-        analyzer=make_analyzer(config.analyzer).config_fingerprint(),
-        norm_mode=config.norm_mode,
-        seg_shift=seg_shift,
-        block_size=config.block_size,
-        fingerprint=fingerprint,
-        doc_count=doc_count,
-        sum_total_tf=sum_dl,
-        counters={
-            "total_input": int(total_input),
-            "indexed": doc_count,
-            "empty": int(total_input) - indexed_count - n_errors_total
-                     - n_skipped_total,
-            "skipped": n_skipped_total,
-            "errors": n_errors_total,
-            "stage_secs": stage_secs,
-        },
-        segments=segments,
-    )
-    manifest.write(index_dir)
-    return manifest
+        shutil.rmtree(staging, ignore_errors=True)

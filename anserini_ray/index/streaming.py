@@ -1,13 +1,11 @@
-"""Streaming (materialize-free) index build over Parquet transcript files.
+"""Streaming (materialize-free) index build over Parquet transcript files —
+the one index builder (`build.build_index` stages every other input as a
+sorted Parquet copy and runs this over it).
 
-The legacy path (`build.py:_assign_ordinals`) must materialize the tokenized
-corpus so the driver can prefix-sum block sizes into doc ordinals — the whole
-tokenized corpus (~1x input) transits and sits in the object store. This path
-removes that residency entirely: ordinals are derived from the INPUT's
-parquet metadata (doc_ord = global input row position, computed per row-group
-run from file footers — no data read), so tokenize -> encode -> segment-write
-fuse into ONE streaming map_batches pass and nothing corpus-sized is ever
-held or shuffled.
+Ordinals are derived from the INPUT's parquet metadata (doc_ord = global
+input row position, computed per row-group run from file footers — no data
+read), so tokenize -> encode -> segment-write fuse into ONE streaming
+map_batches pass and nothing corpus-sized is ever held or shuffled.
 
 Dropped docs (whitespace-empty text, analyzer errors) leave HOLES in the
 ordinal space; `SegmentReader` scores directly in raw ordinal space
@@ -19,14 +17,14 @@ Each *unit* (a run of consecutive row groups of one input file) is processed
 by one task that:
 
   1. reads its row groups straight from parquet (pruned columns),
-  2. verifies (conv_id, turn_idx) order inside the unit (assume_sorted
-     contract — violations raise NotSortedError and the caller falls back to
-     the sort-based legacy build; cross-unit boundaries are checked by the
-     driver from the markers),
+  2. verifies (conv_id, turn_idx) order inside the unit and sorts a unit
+     that is out of order in place; cross-unit boundaries are checked by the
+     driver from the markers (overlap raises NotSortedError and
+     `build_index` rebuilds from a sorted staging copy),
   3. tokenizes (analyzer built once per worker process, `_process_analyzer`),
   4. writes its docmap/postings[/docvecs] partition files directly
      (tmp + atomic rename; deterministic names `u{unit_id}.parquet` under
-     `segment_id=K/` dirs — the same hive layout the legacy writer produces),
+     `segment_id=K/` dirs, the hive layout `optimize.py` compacts),
   5. writes a durable per-unit JSON marker (fingerprint, row/keep/error
      counters, sort boundaries, per-segment doc partials) — the lineage
      record that makes the build resumable at UNIT granularity,
@@ -44,6 +42,7 @@ from __future__ import annotations
 import glob
 import json
 import os
+import time
 
 import numpy as np
 import pyarrow as pa
@@ -53,8 +52,15 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
-from ..state.manifest import IndexManifest, SegmentManifest, input_fingerprint
+from ..analysis.analyzer import make_analyzer
+from ..state.manifest import (
+    IndexManifest,
+    SegmentManifest,
+    completed_segments,
+    input_fingerprint,
+)
 from .build import (
+    INDEX_FORMAT_VERSION,
     IndexConfig,
     NotSortedError,
     make_subblock_encoder,
@@ -172,9 +178,7 @@ class UnitWorker:
         self.fingerprint = fingerprint
         self.verify_sorted = verify_sorted
         self.shard = config.shard
-        self.encoder = make_subblock_encoder(
-            config.seg_shift, config.block_size, frozenset()
-        )
+        self.encoder = make_subblock_encoder(config.seg_shift, config.block_size)
         self.encode_batch = config.encode_batch_size
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -200,8 +204,8 @@ class UnitWorker:
                     # per-unit sorts == global sort when only intra-unit
                     # order is violated). Cross-unit overlap is still
                     # detected by the driver's boundary check from the
-                    # markers, which then triggers the full sort-path
-                    # rebuild — that remains the only case that needs one.
+                    # markers, which then triggers the staged rebuild —
+                    # that remains the only case that needs one.
                     order = pc.sort_indices(
                         t,
                         sort_keys=[("conv_id", "ascending"),
@@ -241,8 +245,7 @@ class UnitWorker:
         # one 64K-row whole-unit encode vs 0.22s for the same rows in 16K
         # slices — allocation sizes stay in reused malloc bins). Runs never
         # span slices, which the on-disk format explicitly allows (a term's
-        # posting list is the ordered concatenation of its runs) and which
-        # matches the legacy path's map_batches batch size exactly.
+        # posting list is the ordered concatenation of its runs).
         chunks = [
             self.encoder(tok.slice(lo, self.encode_batch))
             for lo in range(0, max(tok.num_rows, 1), self.encode_batch)
@@ -404,25 +407,19 @@ def build_index_streaming(
     index_dir: str,
     config: IndexConfig | None = None,
     total_input: int | None = None,
+    fingerprint: str | None = None,
 ) -> IndexManifest:
-    """Streaming build (see module docstring). Requires sorted parquet input
-    (assume_sorted contract); raises NotSortedError otherwise — callers fall
-    back to `build_index`'s sort path."""
-    import time as _time
-
+    """Streaming build (see module docstring). Requires parquet input sorted
+    by (conv_id, turn_idx) across files and units; raises NotSortedError
+    when unit key ranges overlap — `build_index` then builds from a sorted
+    staging copy. `fingerprint` overrides the one taken from input_paths
+    (a staged build fingerprints the caller's input, not the staging copy)."""
     config = config or IndexConfig()
     os.makedirs(index_dir, exist_ok=True)
     paths = sorted(input_paths)
-    fingerprint = input_fingerprint(paths, config.repr_for_fingerprint())
-
-    stage_secs: dict[str, float] = {}
-    _t = _time.perf_counter()
-
-    def _mark(stage: str) -> None:
-        nonlocal _t
-        now = _time.perf_counter()
-        stage_secs[stage] = round(now - _t, 3)
-        _t = now
+    if fingerprint is None:
+        fingerprint = input_fingerprint(paths, config.repr_for_fingerprint())
+    stage_secs, _mark = _stage_timer()
 
     units, total_rows, columns = plan_units(paths)
     if total_input is None:
@@ -443,18 +440,24 @@ def build_index_streaming(
             ):
                 resumed[uid] = m
     # Completed-build idempotency: if EVERY unit's marker matches and a
-    # manifest for this exact input already exists, return it untouched —
-    # re-running must not reach _clean_streaming, which would delete the
-    # combined files a post-build compaction (or a manual optimize_index)
-    # left in place of the per-unit u-files. Only a MISSING manifest falls
-    # through; an unreadable/corrupt one on a fully-marker-matched build
-    # aborts rather than silently cleaning and rebuilding.
+    # manifest for this exact input already exists, with every segment's
+    # manifest in place, return it untouched — re-running must not reach
+    # _clean_streaming, which would delete the combined files a post-build
+    # compaction (or a manual optimize_index) left in place of the per-unit
+    # u-files. A MISSING manifest or segment manifest falls through; an
+    # unreadable/corrupt one on a fully-marker-matched build aborts rather
+    # than silently cleaning and rebuilding.
     if len(resumed) == len(units) and units:
         try:
             existing = IndexManifest.read(index_dir)
         except FileNotFoundError:
             existing = None
-        if existing is not None and existing.fingerprint == fingerprint:
+        if (
+            existing is not None
+            and existing.fingerprint == fingerprint
+            and completed_segments(index_dir, fingerprint)
+            >= {s["segment_id"] for s in existing.segments}
+        ):
             return existing
     # Markers alone don't prove resumability: auto-compaction replaces
     # u-files with combined files, and _clean_streaming below deletes any
@@ -481,7 +484,57 @@ def build_index_streaming(
         skinny = ray.data.from_arrow(_skinny_empty())
     _mark("tokenize_encode_write")
 
-    # driver-side cross-unit boundary verification from the markers
+    manifest, markers = _finalize(
+        index_dir, config, units, fingerprint, total_input,
+        None if resumed else skinny, _mark,
+    )
+    manifest.counters.update(
+        resumed_units=len(resumed), total_units=len(units),
+        stage_secs=stage_secs,
+    )
+    manifest.write(index_dir)
+
+    # Post-build auto-compaction, same hook as append: a bulk build whose
+    # units-per-segment crosses the threshold leaves every posting list
+    # fragmented across that many runs — reader load and head-term decode
+    # scale with it (measured: a 16M-doc single segment built from 135 units
+    # = 139.8M run rows, ~9 min reader load; ~1M rows after compaction).
+    # Results are bit-identical; only the file layout changes.
+    touched = {int(s["segment_id"]) for s in manifest.segments}
+    compacted = _auto_compact(
+        index_dir, markers, touched, config.auto_compact_unit_runs
+    )
+    _mark("auto_compact")
+    if compacted:
+        # persist the compaction timing (manifest content is otherwise
+        # unchanged; a crash before this re-write leaves a complete,
+        # merely-uncompacted-timed manifest)
+        manifest.write(index_dir)
+    return manifest
+
+
+def _stage_timer():
+    """(stage_secs, mark): mark(stage) records the seconds since the
+    previous mark under `stage`."""
+    stage_secs: dict[str, float] = {}
+    last = [time.perf_counter()]
+
+    def mark(stage: str) -> None:
+        now = time.perf_counter()
+        stage_secs[stage] = round(now - last[0], 3)
+        last[0] = now
+
+    return stage_secs, mark
+
+
+def _finalize(index_dir: str, config: IndexConfig, units: list[dict],
+              fingerprint: str, total_input: int, skinny, mark):
+    """Shared tail of build and append: verify the (conv_id, turn_idx) order
+    across the boundaries of `units` (the units this call planned) from
+    their markers, sum EVERY marker of the index into per-segment doc/dl/run
+    counts, write the termstats (from `skinny`, or from a skinny-column
+    read-back of all postings when None) and the per-segment manifests.
+    Returns the (unwritten) IndexManifest and the markers."""
     markers = _load_markers(index_dir)
     missing = [u["unit_id"] for u in units if u["unit_id"] not in markers]
     if missing:
@@ -491,27 +544,24 @@ def build_index_streaming(
         m = markers[u["unit_id"]]
         if not m["rows"] or m["first"] is None:
             continue
-        first = (m["first"][0], m["first"][1])
-        if prev_last is not None and first <= prev_last:
+        first = tuple(m["first"])
+        # equal keys may straddle a boundary (duplicate docids without
+        # dedup): units are sorted stably in place, so order still holds
+        if prev_last is not None and first < prev_last:
             raise NotSortedError(
                 f"unit boundary out of order: {first} after {prev_last}"
             )
-        prev_last = (m["last"][0], m["last"][1])
+        prev_last = tuple(m["last"])
 
-    if resumed:
-        # resumed units returned no rows through the pipeline; the authoritative
-        # skinny view is the (pruned-column) read-back of what's on disk
+    if skinny is None:
         skinny = ray.data.read_parquet(
             os.path.join(index_dir, "postings"),
             columns=["term", "df", "cf", "segment_id"],
         ).materialize()
-
     seg_counts: dict[int, int] = {}
     seg_sum_dl: dict[int, int] = {}
     term_counts: dict[int, int] = {}
-    kept_total = 0
-    err_total = 0
-    skip_total = 0
+    kept_total = err_total = skip_total = 0
     for m in markers.values():
         kept_total += int(m["kept"])
         err_total += int(m["errors"])
@@ -522,38 +572,27 @@ def build_index_streaming(
             seg_sum_dl[sid] = seg_sum_dl.get(sid, 0) + int(vals[1])
             if len(vals) > 2:
                 term_counts[sid] = term_counts.get(sid, 0) + int(vals[2])
+    write_termstats(skinny, index_dir, config.shuffle_partitions)
+    mark("termstats")
 
-    write_termstats(
-        skinny, index_dir, config.shuffle_partitions,
-        term_counts=term_counts or None,
-    )
-    _mark("termstats")
-
-    doc_count = 0
-    sum_dl = 0
     segments = []
     for sid in sorted(seg_counts):
-        cnt, sdl = seg_counts[sid], seg_sum_dl[sid]
-        doc_count += cnt
-        sum_dl += sdl
-        sm = SegmentManifest(
+        seg = SegmentManifest(
             segment_id=sid,
             base_ord=sid << config.seg_shift,
-            doc_count=cnt,
-            sum_dl=sdl,
+            doc_count=seg_counts[sid],
+            sum_dl=seg_sum_dl[sid],
             num_terms=term_counts.get(sid, 0),
             fingerprint=fingerprint,
         )
-        sm.write(index_dir)
+        seg.write(index_dir)
         segments.append(
-            {"segment_id": sid, "doc_count": cnt, "sum_dl": sdl,
-             "num_terms": term_counts.get(sid, 0)}
+            {"segment_id": sid, "doc_count": seg.doc_count,
+             "sum_dl": seg.sum_dl, "num_terms": seg.num_terms}
         )
-    _mark("manifests")
+    mark("manifests")
 
-    from ..analysis.analyzer import make_analyzer
-    from .build import INDEX_FORMAT_VERSION
-
+    doc_count = sum(seg_counts.values())
     manifest = IndexManifest(
         version=INDEX_FORMAT_VERSION,
         analyzer=make_analyzer(config.analyzer).config_fingerprint(),
@@ -562,39 +601,17 @@ def build_index_streaming(
         block_size=config.block_size,
         fingerprint=fingerprint,
         doc_count=doc_count,
-        sum_total_tf=sum_dl,
+        sum_total_tf=sum(seg_sum_dl.values()),
         counters={
             "total_input": int(total_input),
             "indexed": doc_count,
             "empty": int(total_input) - kept_total - err_total - skip_total,
             "skipped": skip_total,
             "errors": err_total,
-            "resumed_units": len(resumed),
-            "total_units": len(units),
-            "stage_secs": stage_secs,
         },
         segments=segments,
     )
-    manifest.write(index_dir)
-
-    # Post-build auto-compaction, same hook as append: a bulk build whose
-    # units-per-segment crosses the threshold leaves every posting list
-    # fragmented across that many runs — reader load and head-term decode
-    # scale with it (measured: a 16M-doc single segment built from 135 units
-    # = 139.8M run rows, ~9 min reader load; ~1M rows after compaction).
-    # Results are bit-identical; only the file layout changes.
-    touched = {int(s["segment_id"]) for s in segments}
-    compacted = _auto_compact(
-        index_dir, markers, touched, config.auto_compact_unit_runs
-    )
-    _mark("auto_compact")
-    if compacted:
-        # persist the compaction timing (manifest content is otherwise
-        # unchanged; a crash before this re-write leaves a complete,
-        # merely-uncompacted-timed manifest)
-        manifest.counters["stage_secs"] = stage_secs
-        manifest.write(index_dir)
-    return manifest
+    return manifest, markers
 
 
 def _auto_compact(index_dir: str, markers: dict, touched: set[int],
@@ -662,13 +679,8 @@ def append_index_streaming(
 
     The appended corpus must use the same analyzer/segmenting config as the
     original build (checked against the manifest)."""
-    import time as _time
-
     config = config or IndexConfig()
     old = IndexManifest.read(index_dir)
-    from ..analysis.analyzer import make_analyzer
-    from .build import INDEX_FORMAT_VERSION
-
     want_an = make_analyzer(config.analyzer).config_fingerprint()
     if (
         old.analyzer != want_an
@@ -682,15 +694,7 @@ def append_index_streaming(
             f"{old.seg_shift} vs {config.seg_shift})"
         )
 
-    stage_secs: dict[str, float] = {}
-    _t = _time.perf_counter()
-
-    def _mark(stage: str) -> None:
-        nonlocal _t
-        now = _time.perf_counter()
-        stage_secs[stage] = round(now - _t, 3)
-        _t = now
-
+    stage_secs, _mark = _stage_timer()
     old_markers = _load_markers(index_dir)
     if not old_markers:
         raise ValueError(
@@ -764,69 +768,13 @@ def append_index_streaming(
         ).materialize()
     _mark("tokenize_encode_write")
 
-    markers = _load_markers(index_dir)
-    # verify ONLY the new units' boundaries among themselves (the appended
-    # corpus need not sort after the old one — ordinals are disjoint)
-    prev_last = None
-    for u in units:
-        m = markers[u["unit_id"]]
-        if not m["rows"] or m["first"] is None:
-            continue
-        first = (m["first"][0], m["first"][1])
-        if prev_last is not None and first <= prev_last:
-            raise NotSortedError(
-                f"appended unit boundary out of order: {first} after {prev_last}"
-            )
-        prev_last = (m["last"][0], m["last"][1])
-
-    skinny = ray.data.read_parquet(
-        os.path.join(index_dir, "postings"),
-        columns=["term", "df", "cf", "segment_id"],
-    ).materialize()
-
-    seg_counts: dict[int, int] = {}
-    seg_sum_dl: dict[int, int] = {}
-    term_counts: dict[int, int] = {}
-    kept_total = 0
-    err_total = 0
-    skip_total = 0
-    for m in markers.values():
-        kept_total += int(m["kept"])
-        err_total += int(m["errors"])
-        skip_total += int(m.get("skipped", 0))
-        for sid, vals in m["segments"].items():
-            sid = int(sid)
-            seg_counts[sid] = seg_counts.get(sid, 0) + int(vals[0])
-            seg_sum_dl[sid] = seg_sum_dl.get(sid, 0) + int(vals[1])
-            if len(vals) > 2:
-                term_counts[sid] = term_counts.get(sid, 0) + int(vals[2])
-    write_termstats(
-        skinny, index_dir, config.shuffle_partitions,
-        term_counts=term_counts or None,
+    # the boundary check covers ONLY the new units (the appended corpus
+    # need not sort after the old one — ordinals are disjoint); stats are
+    # global, so termstats come from a read-back of all postings
+    total_input = int(old.counters.get("total_input", 0)) + new_rows
+    manifest, markers = _finalize(
+        index_dir, config, units, fingerprint, total_input, None, _mark
     )
-    _mark("termstats")
-
-    doc_count = 0
-    sum_dl = 0
-    segments = []
-    for sid in sorted(seg_counts):
-        cnt, sdl = seg_counts[sid], seg_sum_dl[sid]
-        doc_count += cnt
-        sum_dl += sdl
-        sm = SegmentManifest(
-            segment_id=sid,
-            base_ord=sid << config.seg_shift,
-            doc_count=cnt,
-            sum_dl=sdl,
-            num_terms=term_counts.get(sid, 0),
-            fingerprint=fingerprint,
-        )
-        sm.write(index_dir)
-        segments.append(
-            {"segment_id": sid, "doc_count": cnt, "sum_dl": sdl,
-             "num_terms": term_counts.get(sid, 0)}
-        )
-    _mark("manifests")
 
     # auto-compaction: segments this append touched that have accumulated
     # enough unit-write fragmentation get force-merged in place (content
@@ -841,28 +789,9 @@ def append_index_streaming(
     )
     _mark("auto_compact")
 
-    total_input = int(old.counters.get("total_input", 0)) + new_rows
-    manifest = IndexManifest(
-        version=INDEX_FORMAT_VERSION,
-        analyzer=want_an,
-        norm_mode=config.norm_mode,
-        seg_shift=config.seg_shift,
-        block_size=config.block_size,
-        fingerprint=fingerprint,
-        doc_count=doc_count,
-        sum_total_tf=sum_dl,
-        counters={
-            "total_input": total_input,
-            "indexed": doc_count,
-            "empty": total_input - kept_total - err_total - skip_total,
-            "skipped": skip_total,
-            "errors": err_total,
-            "appended_units": len(units),
-            "total_units": len(markers),
-            "auto_compacted_segments": compacted,
-            "stage_secs": stage_secs,
-        },
-        segments=segments,
+    manifest.counters.update(
+        appended_units=len(units), total_units=len(markers),
+        auto_compacted_segments=compacted, stage_secs=stage_secs,
     )
     manifest.write(index_dir)
     return manifest

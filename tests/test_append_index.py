@@ -83,8 +83,39 @@ def test_append_requires_streaming_index(corpora, tmp_path):
     idx = str(tmp_path / "legacy")
     ds = ray.data.read_parquet(a_files, columns=["conv_id", "turn_idx", "text"])
     build_index(ds, idx, IndexConfig(seg_shift=12), input_files=a_files)
+    # an index without unit markers (as older builders left) is refused
+    shutil.rmtree(os.path.join(idx, "units"))
     with pytest.raises(ValueError):
         append_index_streaming(b_files, idx, IndexConfig(seg_shift=12))
+
+
+def test_append_onto_dataset_built_index_equals_oneshot(
+    corpora, tmp_path_factory
+):
+    """A Dataset input is built from a sorted staging copy with unit
+    markers, so it accepts appends like a file-built index."""
+    import ray.data
+
+    a_files, b_files = corpora
+    root = tmp_path_factory.mktemp("append_ds")
+    inc = str(root / "incremental")
+    ref = str(root / "oneshot")
+    cfg = IndexConfig(seg_shift=12, assume_sorted=True)
+    ds = ray.data.read_parquet(a_files, columns=["conv_id", "turn_idx", "text"])
+    build_index(ds, inc, IndexConfig(seg_shift=12), input_files=a_files)
+    m2 = append_index_streaming(b_files, inc, cfg)
+    m3 = build_index(index_dir=ref, config=cfg, input_paths=a_files + b_files)
+    assert m2.doc_count == m3.doc_count
+    assert m2.sum_total_tf == m3.sum_total_tf
+    assert m2.counters["total_input"] == m3.counters["total_input"] == 24000
+
+    s_inc = LocalSearcher(inc)
+    s_ref = LocalSearcher(ref)
+    for q in QUERIES:
+        di, si = s_inc.search(q, k=40)
+        dr, sr = s_ref.search(q, k=40)
+        assert di == dr
+        assert list(map(float, si)) == list(map(float, sr))
 
 
 def test_append_retry_after_crash_is_idempotent(corpora, tmp_path_factory):

@@ -133,14 +133,13 @@ def axiom_setup(ray_session, tmp_path_factory):
         )
     ]
     oracle = BruteForceIndex(docs)
-    # ordinal mapping straight from the engine's docmap (the oracle needs the
-    # same sampling space; ordinal ASSIGNMENT itself is covered elsewhere)
+    # ordinal mapping: the existing docs numbered in order, the same space
+    # search_axiom samples over (ordinal ASSIGNMENT is covered elsewhere)
     s = LocalSearcher(idx)
     ord_of, of_ord = {}, {}
     for r in s.readers:
-        ids = r.doc_id_strings(np.arange(r.doc_count))
-        for i, d in enumerate(ids):
-            g = r.base_ord + i
+        for d in r.doc_id_strings(r._raw_local):
+            g = len(ord_of)
             ord_of[d] = g
             of_ord[g] = d
     return idx, oracle, ord_of, of_ord

@@ -198,8 +198,38 @@ def test_cross_unit_overlap_falls_back_to_sort_path(tmp_path):
         input_paths=files,
     )
     assert m.doc_count == n
-    # handled by the LEGACY sort path: no streaming unit markers remain
-    assert not glob.glob(os.path.join(idx, "units", "u*.json"))
+    # rebuilt from a sorted staging copy: unit markers, staging removed
+    assert glob.glob(os.path.join(idx, "units", "u*.json"))
+    assert not os.path.exists(os.path.join(idx, "staging"))
+
+
+def test_equal_keys_at_unit_boundary_build_directly(ray_session, tmp_path):
+    # a duplicate docid (no dedup_docids) straddles the file boundary: the
+    # files are still sorted, so the streaming build takes them as they are
+    files = []
+    for name, convs in (("part-a.parquet", ["a0", "a1", "a2"]),
+                        ("part-b.parquet", ["a2", "a3"])):
+        t = pa.table(
+            {
+                "conv_id": convs,
+                "turn_idx": pa.array([0] * len(convs), type=pa.int32()),
+                "text": ["merge sort city"] * len(convs),
+            }
+        )
+        path = str(tmp_path / name)
+        pq.write_table(t, path)
+        files.append(path)
+    idx = str(tmp_path / "idx")
+    m = build_index(
+        index_dir=idx,
+        config=IndexConfig(seg_shift=12, assume_sorted=True),
+        input_paths=files,
+    )
+    assert m.doc_count == 5
+    # one unit per input file: no staging copy was made
+    assert m.counters["total_units"] == 2
+    assert len(glob.glob(os.path.join(idx, "units", "u*.json"))) == 2
+    assert not os.path.exists(os.path.join(idx, "staging"))
 
 
 def test_streaming_equals_legacy_property(ray_session, tmp_path):
