@@ -34,7 +34,6 @@ def _ensure_index(sf_dir: str, norm_mode: str = "lucene") -> str:
     cfg = IndexConfig(
         seg_shift=13,
         norm_mode=norm_mode,
-        assume_sorted=True,
         store_docvecs=True,
         store_positions=True,
     )

@@ -54,12 +54,13 @@ class IndexConfig:
     analyzer: dict = field(default_factory=dict)
     norm_mode: str = "lucene"    # "lucene" (byte4-quantized dl) | "accurate"
     resume: bool = False
-    # Input files already globally ordered by (conv_id, turn_idx)? Then the
-    # staging sort is skipped; the streaming build VERIFIES the order (units
-    # internally, unit boundaries on the driver) and build_index falls back
-    # to sorting if violated. Transcript corpora are typically stored in
-    # conversation order, making this the common fast path — it removes the
-    # only corpus-sized shuffle.
+    # build_index input_paths already globally ordered by (conv_id,
+    # turn_idx)? Then the staging sort is skipped; the streaming build
+    # VERIFIES the order (units internally, unit boundaries on the driver)
+    # and build_index falls back to sorting if violated. Transcript corpora
+    # are typically stored in conversation order, making this the common
+    # fast path — it removes the only corpus-sized shuffle. A Dataset input
+    # is always staged, so the flag has no effect on it.
     assume_sorted: bool = False
     # partition count for the wide groupby shuffles (None = Ray default);
     # size ≈ 2-4x total cluster cores at real scale
@@ -645,26 +646,47 @@ def write_termstats(skinny, index_dir: str,
     )
 
 
-def _stage_columns(whitelist):
-    """map_batches fn of the staging copy: keep the transcript columns and,
-    with a whitelist, only the listed docids (broadcast-set semi-join)."""
-    wl_ref = ray.put(frozenset(whitelist)) if whitelist is not None else None
+def _whitelist_filter(whitelist: frozenset):
+    """map_batches fn of the staging copy: keep only the listed docids
+    (broadcast-set semi-join)."""
+    wl_ref = ray.put(whitelist)
 
-    def stage(batch: pa.Table) -> pa.Table:
-        batch = batch.select(
-            [c for c in ("conv_id", "turn_idx", "text", "ts")
-             if c in batch.column_names]
-        )
-        if wl_ref is None:
-            return batch
+    def keep(batch: pa.Table) -> pa.Table:
         wl = ray.get(wl_ref)
         return batch.filter(pa.array([
             f"{c}:{t}" in wl
             for c, t in zip(batch["conv_id"].to_pylist(),
                             batch["turn_idx"].to_pylist())
-        ]))
+        ], type=pa.bool_()))
 
-    return stage
+    return keep
+
+
+def _stage_writer(staging: str, row_group_rows: int):
+    """map_batches fn that writes one sorted block of the staging copy as
+    one Parquet file (row groups of row_group_rows, so units plan as in a
+    direct build) and returns its path with its first and last key, by
+    which the driver orders the files."""
+    import uuid
+
+    import pyarrow.parquet as pq
+
+    def write(batch: pa.Table) -> pa.Table:
+        paths, ends = [], []
+        if batch.num_rows:
+            path = os.path.join(staging, f"{uuid.uuid4().hex}.parquet")
+            pq.write_table(batch, path, row_group_size=row_group_rows)
+            paths, ends = [path], [0, batch.num_rows - 1]
+        first, last = batch.take(ends[:1]), batch.take(ends[1:])
+        return pa.table({
+            "path": pa.array(paths, type=pa.string()),
+            "first_conv": first["conv_id"],
+            "first_turn": first["turn_idx"],
+            "last_conv": last["conv_id"],
+            "last_turn": last["turn_idx"],
+        })
+
+    return write
 
 
 def build_index(
@@ -694,8 +716,13 @@ def build_index(
     indexed (reference `-whitelist`, IndexCollection.java:208-211, 707-712).
     dedup_docids: last-write-wins upsert per (conv_id, turn_idx) by ts
     (reference `-uniqueDocid` updateDocument, IndexCollection.java:213-217);
-    requires the ts column."""
-    import glob
+    requires the ts column.
+
+    The staging sort orders rows with equal (conv_id, turn_idx) by ts and
+    text too, so a resumed staged build sees the same doc order as the run
+    it resumes. The staged fingerprint covers the whitelist and
+    dedup_docids."""
+    import hashlib
     import shutil
 
     from . import streaming
@@ -728,31 +755,49 @@ def build_index(
         transcripts = ray.data.read_parquet(
             sorted(input_paths), columns=_input_columns(input_paths)
         )
-    ds = transcripts.map_batches(_stage_columns(whitelist),
-                                 batch_format="pyarrow")
+    names = transcripts.schema().names
+    columns = [c for c in ("conv_id", "turn_idx", "text", "ts") if c in names]
+    fp_config = config.repr_for_fingerprint()
+    ds = transcripts.select_columns(columns)
+    if whitelist is not None:
+        whitelist = frozenset(whitelist)
+        ds = ds.map_batches(_whitelist_filter(whitelist),
+                            batch_format="pyarrow")
+        fp_config += "|wl" + hashlib.sha256(
+            "\n".join(sorted(whitelist)).encode()
+        ).hexdigest()[:16]
     if dedup_docids:
-        if "ts" not in transcripts.schema().names:
+        if "ts" not in names:
             raise ValueError("dedup_docids requires the ts column")
         from ..stages.dedup import unique_by_key
 
         ds = unique_by_key(ds, ["conv_id", "turn_idx"], "ts", keep="last")
+        fp_config += "|dedup"
     staging = os.path.join(index_dir, "staging")
     shutil.rmtree(staging, ignore_errors=True)
+    os.makedirs(staging)
     try:
-        # Ray names the files by write-task index, so name order is key order
-        ds.sort(["conv_id", "turn_idx"]).write_parquet(
-            staging,
-            min_rows_per_file=streaming.UNIT_TARGET_ROWS,
-            max_rows_per_file=streaming.UNIT_TARGET_ROWS,
-        )
+        # batch_size=None: one sorted block per file, so each file is in
+        # key order and the blocks' key ranges order the files
+        tiebreak = ["ts", "text"] if "ts" in names else ["text"]
+        staged = ds.sort(["conv_id", "turn_idx"] + tiebreak).map_batches(
+            _stage_writer(staging, streaming.UNIT_TARGET_ROWS),
+            batch_format="pyarrow",
+            batch_size=None,
+        ).take_all()
+        staged = sorted(staged, key=lambda r: (r["first_conv"], r["first_turn"],
+                                               r["last_conv"], r["last_turn"]))
+        # the builder takes its files in name order: name them by key order
+        paths = [os.path.join(staging, f"part-{i:08d}.parquet")
+                 for i in range(len(staged))]
+        for r, path in zip(staged, paths):
+            os.replace(r["path"], path)
         return streaming.build_index_streaming(
-            sorted(glob.glob(os.path.join(staging, "*.parquet"))),
+            paths,
             index_dir,
             config,
             total_input=total_input,
-            fingerprint=input_fingerprint(
-                fp_files, config.repr_for_fingerprint()
-            ),
+            fingerprint=input_fingerprint(fp_files, fp_config),
         )
     finally:
         shutil.rmtree(staging, ignore_errors=True)

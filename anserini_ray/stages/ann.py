@@ -356,7 +356,7 @@ def build_fake_words_index(
     return build_index(
         enc,
         index_dir,
-        IndexConfig(seg_shift=13, assume_sorted=True),
+        IndexConfig(seg_shift=13),
         input_files=input_files or [],
     )
 

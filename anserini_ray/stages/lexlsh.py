@@ -132,7 +132,7 @@ def build_lexlsh_index(ds, index_dir: str, vec_col: str = "embedding",
     return build_index(
         ds.map_batches(encode, batch_format="pyarrow"),
         index_dir,
-        IndexConfig(seg_shift=13, assume_sorted=True),
+        IndexConfig(seg_shift=13),
         input_files=input_files or [],
     )
 

@@ -308,3 +308,68 @@ def test_streaming_with_positions_phrase_parity(corpus, tmp_path):
         d_2, ssc2 = s2.search_sdm(q, k=20)
         assert d_1 == d_2
         assert list(map(float, ssc1)) == list(map(float, ssc2))
+
+
+def test_staged_single_block_orders_many_files(ray_session, tmp_path,
+                                               monkeypatch):
+    """A one-block Dataset stages into many row groups (one file per sorted
+    block): the staged units stay in key order, and the index equals a
+    direct build of the same rows sorted."""
+    import random
+
+    import ray.data
+
+    from anserini_ray.index import streaming
+
+    monkeypatch.setattr(streaming, "UNIT_TARGET_ROWS", 64)
+    n = 64 * 12 + 7
+    words = ["merge", "sort", "city", "bus", "pipeline", "window"]
+    rows = [(f"c{i:04d}", i % 3, " ".join(words[j % 6] for j in range(i % 5 + 1)))
+            for i in range(n)]
+    src = str(tmp_path / "sorted.parquet")
+    pq.write_table(pa.table({
+        "conv_id": [r[0] for r in rows],
+        "turn_idx": pa.array([r[1] for r in rows], type=pa.int32()),
+        "text": [r[2] for r in rows],
+    }), src)
+    random.Random(5).shuffle(rows)
+    ds = ray.data.from_arrow(pa.table({
+        "conv_id": [r[0] for r in rows],
+        "turn_idx": pa.array([r[1] for r in rows], type=pa.int32()),
+        "text": [r[2] for r in rows],
+    }))
+    staged, direct = str(tmp_path / "staged"), str(tmp_path / "direct")
+    m1 = build_index(ds, staged, IndexConfig(seg_shift=12))
+    m2 = build_index(index_dir=direct, input_paths=[src],
+                     config=IndexConfig(seg_shift=12, assume_sorted=True))
+    assert m1.doc_count == m2.doc_count == n
+    assert m1.counters["total_units"] == 13
+    assert not os.path.exists(os.path.join(staged, "staging"))
+    s1, s2 = LocalSearcher(staged), LocalSearcher(direct)
+    for q in ("merge sort", "city bus pipeline", "window"):
+        r1, sc1 = s1.search(q, k=50)
+        r2, sc2 = s2.search(q, k=50)
+        assert r1 == r2, q
+        assert list(map(float, sc1)) == list(map(float, sc2))
+
+
+def test_staged_resume_fingerprints_whitelist(ray_session, tmp_path):
+    """Two whitelists of the same size over one input: a resumed staged
+    build with the second one rebuilds instead of keeping the first's
+    units."""
+    import ray.data
+
+    n = 40
+    src = str(tmp_path / "c.parquet")
+    pq.write_table(pa.table({
+        "conv_id": [f"c{i:03d}" for i in range(n)],
+        "turn_idx": pa.array([0] * n, type=pa.int32()),
+        "text": ["alpha"] * (n // 2) + ["omega"] * (n // 2),
+    }), src)
+    idx = str(tmp_path / "idx")
+    cfg = IndexConfig(seg_shift=4, resume=True)
+    for half, word in ((range(n // 2), "alpha"), (range(n // 2, n), "omega")):
+        build_index(ray.data.read_parquet(src), idx, cfg, input_files=[src],
+                    whitelist={f"c{i:03d}:0" for i in half})
+        docs, _ = LocalSearcher(idx).search(word, k=n)
+        assert len(docs) == n // 2, word
