@@ -22,6 +22,18 @@ from typing import Any
 _DEF_SF = "/root/testdata/sf0.001"
 
 
+def _index_is_current(index_dir: str) -> bool:
+    """True iff index_dir holds a built index in the current format (a
+    cached index of an older format is rebuilt)."""
+    from anserini_ray.index.build import INDEX_FORMAT_VERSION
+    from anserini_ray.state import IndexManifest
+
+    try:
+        return IndexManifest.read(index_dir).version == INDEX_FORMAT_VERSION
+    except FileNotFoundError:
+        return False
+
+
 def _ensure_index(sf_dir: str, norm_mode: str = "lucene") -> str:
     """Build (or reuse a fingerprint-matching cached build of) the inverted
     index for sf_dir's transcript corpus under /tmp. Built with the forward
@@ -858,14 +870,11 @@ def _ann_fake_words(sf_dir: str, k: int = 5):
     from anserini_ray.pipelines.training_data import _query_vectors
     from anserini_ray.search import LocalSearcher
     from anserini_ray.stages.ann import build_fake_words_index, fake_words_text
-    from anserini_ray.state import IndexManifest
 
     files = [os.path.join(sf_dir, "embeddings.parquet")]
     tag = hashlib.sha1(f"{sf_dir}|fw".encode()).hexdigest()[:12]
     index_dir = f"/tmp/anserini_ray_fw_{tag}"
-    try:
-        IndexManifest.read(index_dir)
-    except FileNotFoundError:
+    if not _index_is_current(index_dir):
         ds = ray.data.read_parquet(files[0], columns=["vec_id", "embedding"])
         build_fake_words_index(ds, index_dir, input_files=files)
     s = LocalSearcher(index_dir, similarity="classic")
@@ -925,14 +934,11 @@ def _slr_topk(sf_dir: str):
     from anserini_ray.pipelines.training_data import _query_vectors
     from anserini_ray.search import LocalSearcher
     from anserini_ray.sources.transcripts import TRANSCRIPT_SCHEMA
-    from anserini_ray.state import IndexManifest
 
     files = [os.path.join(sf_dir, "embeddings.parquet")]
     tag = hashlib.sha1(f"{sf_dir}|slr".encode()).hexdigest()[:12]
     index_dir = f"/tmp/anserini_ray_slr_{tag}"
-    try:
-        IndexManifest.read(index_dir)
-    except FileNotFoundError:
+    if not _index_is_current(index_dir):
         ds = ray.data.read_parquet(files[0], columns=["vec_id", "embedding"])
 
         def encode(batch: pa.Table) -> pa.Table:

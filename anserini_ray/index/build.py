@@ -18,9 +18,10 @@ builder runs:
                         term's runs; see optimize.py for the force-merge
                         compaction), with per-block (<=128 docs) max-tf /
                         min-dl impact metadata for block-max pruning
-  write_termstats       (term, global df, global cf) per segment: one
-                        Arrow-kernel hash aggregate + broadcast map-side
-                        join (hash join above a vocab cap)
+  write_termstats       one global (term, gdf, gcf) table per generation,
+                        term-hash partitioned: a fresh build sums the units'
+                        rows, an append adds its units' rows to the
+                        committed table
 
 Tie-break parity: results are sorted by docid string
 (SearchCollection.java:115-116), so doc order only fixes ordinals.
@@ -34,17 +35,19 @@ from dataclasses import dataclass, field
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
 import ray
 import ray.data
 
 from ..analysis.analyzer import make_analyzer
-from ..state.manifest import IndexManifest, input_fingerprint
+from ..state.manifest import IndexManifest, input_fingerprint, termstats_dir
 from .varint import varint_encode, varint_sizes
 
-INDEX_FORMAT_VERSION = 2  # v2: pos_blob run column + optional ts in docmap
+# v2: pos_blob run column + optional ts in docmap; v3: one global termstats
+# table per generation instead of per-segment sidecars
+INDEX_FORMAT_VERSION = 3
 BLOCK_SIZE = 128  # docs per impact block (block-max metadata granularity)
-BROADCAST_VOCAB_LIMIT = 2_000_000  # broadcast term stats below this; join above
 
 
 @dataclass
@@ -62,9 +65,6 @@ class IndexConfig:
     # fast path — it removes the only corpus-sized shuffle. A Dataset input
     # is always staged, so the flag has no effect on it.
     assume_sorted: bool = False
-    # partition count for the wide groupby shuffles (None = Ray default);
-    # size ≈ 2-4x total cluster cores at real scale
-    shuffle_partitions: int | None = 32
     # rows per encode task (per-term runs get longer with bigger batches but
     # tasks get fewer; ~16K balances parallelism vs. sub-row count)
     encode_batch_size: int = 16384
@@ -270,8 +270,6 @@ class NotSortedError(ValueError):
 
 
 def _input_columns(paths: list[str]) -> list[str]:
-    import pyarrow.parquet as pq
-
     names = set(
         pq.read_metadata(sorted(paths)[0]).schema.to_arrow_schema().names
     )
@@ -508,142 +506,83 @@ def _empty_subblock_table() -> pa.Table:
     )
 
 
+_TS_SCHEMA = pa.schema(
+    [("term", pa.string()), ("gdf", pa.int64()), ("gcf", pa.int64())]
+)
+
+
+def _ts_sum(table: pa.Table) -> pa.Table:
+    """(term, gdf, gcf) summed per term."""
+    agg = table.group_by("term").aggregate([("gdf", "sum"), ("gcf", "sum")])
+    return pa.Table.from_arrays(
+        [agg["term"], agg["gdf_sum"], agg["gcf_sum"]], schema=_TS_SCHEMA
+    )
+
+
 @ray.remote
-def _ts_local_combine(table: pa.Table, nparts: int) -> list[pa.Table]:
-    """Per-block combine + hash partition: pyarrow C++ hash-aggregate the
-    block's (term, df, cf), then split by a vectorized Arrow-buffer hash of
-    term % nparts (no per-row Python). Returns one sub-table per partition."""
+def _ts_local_combine(source, nparts: int):
+    """One source -> nparts (term, gdf, gcf) slices, split by a vectorized
+    Arrow-buffer hash of term % nparts (no per-row Python). A source is a
+    delta block of (term, df, cf) rows, combined here (an empty block may
+    carry no columns), or the path of a committed part file, whose terms
+    are already distinct. With nparts 1 it returns the one slice, not a
+    list: a task with num_returns=1 stores its return value as is."""
     from anserini_ray.stages.hashagg import vectorized_key_hash
 
-    agg = (
-        table.select(["term", "df", "cf"])
-        .group_by(["term"])
-        .aggregate([("df", "sum"), ("cf", "sum")])
-        .rename_columns(["term", "gdf", "gcf"])
-    )
-    part = vectorized_key_hash(agg, ["term"], nparts)
+    if isinstance(source, str):
+        t = pq.read_table(source)
+    elif "term" in source.column_names:
+        t = _ts_sum(
+            source.select(["term", "df", "cf"])
+            .rename_columns(_TS_SCHEMA.names)
+            .cast(_TS_SCHEMA)
+        )
+    else:
+        t = _TS_SCHEMA.empty_table()
+    part = vectorized_key_hash(t, ["term"], nparts)
     order = np.argsort(part, kind="stable")
-    sorted_tbl = agg.take(pa.array(order))
+    t = t.take(pa.array(order))
     bounds = np.searchsorted(part[order], np.arange(nparts + 1))
-    return [
-        sorted_tbl.slice(bounds[p], bounds[p + 1] - bounds[p])
-        for p in range(nparts)
-    ]
+    out = [t.slice(bounds[p], bounds[p + 1] - bounds[p]) for p in range(nparts)]
+    return out if nparts > 1 else out[0]
 
 
 @ray.remote
-def _ts_merge_partition(*tables: pa.Table) -> pa.Table:
-    parts = [t for t in tables if t.num_rows]
-    if not parts:
-        return pa.table(
-            {
-                "term": pa.array([], type=pa.string()),
-                "gdf": pa.array([], type=pa.int64()),
-                "gcf": pa.array([], type=pa.int64()),
-            }
-        )
-    return (
-        pa.concat_tables(parts)
-        .group_by(["term"])
-        .aggregate([("gdf", "sum"), ("gcf", "sum")])
-        .rename_columns(["term", "gdf", "gcf"])
-    )
+def _ts_merge_partition(path: str, *tables: pa.Table) -> None:
+    """Sum one hash partition's slices and write them, sorted by term, as
+    one part file."""
+    pq.write_table(_ts_sum(pa.concat_tables(tables)).sort_by("term"), path)
 
 
-def _hash_agg_term_stats(skinny, shuffle_partitions: int | None):
-    """Global (term -> df, cf) aggregate as an explicit Arrow-kernel hash
-    shuffle: per-block pyarrow hash-aggregate (combiner) -> crc32-of-term
-    partitioning -> per-partition merge tasks. Replaces Ray's sort-based
-    string groupby, which costs ~10s per 600K skinny rows on a realistic
-    (Zipfian) vocabulary — ~20x slower than this shape. Only pre-combined
-    skinny stats move; partition count bounds reducer fan-in."""
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    nparts = max(2, min(shuffle_partitions or 32, cpus))
-    refs = skinny.to_arrow_refs()
-    per_block = [
-        _ts_local_combine.options(num_returns=nparts).remote(r, nparts)
-        for r in refs
+def write_termstats(delta, index_dir: str, generation: int,
+                    committed: list[str]) -> None:
+    """Write termstats generation `generation`: the global (term, gdf, gcf)
+    table of the (term, df, cf) rows of the materialized `delta` Dataset
+    plus the `committed` part files it extends (df and cf are sums, so
+    the new table is the old one plus the delta). Every source goes through
+    `_ts_local_combine`; each of the P = min(32, cluster CPUs) term-hash
+    partitions is summed and written by one `_ts_merge_partition` task as
+    `part-PPPPP.parquet`. Only refs pass through the driver. The
+    generation is not in use until a manifest names it."""
+    import shutil
+
+    nparts = max(1, min(32, int(ray.cluster_resources().get("CPU", 1))))
+    out_dir = termstats_dir(index_dir, generation)
+    shutil.rmtree(out_dir, ignore_errors=True)
+    os.makedirs(out_dir)
+    splits = [
+        _ts_local_combine.options(num_returns=nparts).remote(src, nparts)
+        for src in list(delta.to_arrow_refs()) + list(committed)
     ]
-    merged = [
-        _ts_merge_partition.remote(*[blk[p] for blk in per_block])
+    if nparts == 1:
+        splits = [[s] for s in splits]
+    ray.get([
+        _ts_merge_partition.remote(
+            os.path.join(out_dir, f"part-{p:05d}.parquet"),
+            *[s[p] for s in splits],
+        )
         for p in range(nparts)
-    ]
-    return ray.data.from_arrow_refs(merged)
-
-
-def write_termstats(skinny, index_dir: str,
-                    shuffle_partitions: int | None) -> None:
-    """Global df/cf per term + per-segment termstats sidecars from the skinny
-    (segment_id, term, df, cf) rows. The sidecar is first deduplicated to ONE
-    row per (segment_id, term) via the Arrow-kernel hash aggregate — skinny
-    arrives at unit granularity, so writing it raw repeats every term
-    units-per-segment times (measured: a 135-unit 16M-doc segment wrote a
-    139.8M-row / 1.7 GB sidecar whose load-time sort cost 275 s; distinct it
-    is 1M rows). The global stats are attached back via a broadcast map-side
-    join (`ray.put` once, read per task, vectorized `pc.index_in` hash
-    lookup) below a vocab cap, or a distributed hash join above it."""
-    from ..stages.hashagg import hash_aggregate
-
-    per_seg = hash_aggregate(
-        skinny,
-        keys=["segment_id", "term"],
-        aggs=[("sum", "df"), ("sum", "cf")],
-        out_names=["df", "cf"],
-        nparts=shuffle_partitions,
-    ).materialize()  # consumed twice (global agg + sidecar write); sized
-    # like the sidecar itself (distinct segment-terms), never raw rows
-    # materialize: count() and to_arrow_refs()/join below would otherwise
-    # EACH re-execute the whole aggregate (measured in the round-5 scaling
-    # ladder as a fixed ~seconds driver cost that scales at ~0.6 and drags
-    # the build ladder below the 0.8 bar at 32M turns)
-    global_stats = _hash_agg_term_stats(per_seg, shuffle_partitions).materialize()
-    vocab_size = global_stats.count()
-    if vocab_size <= BROADCAST_VOCAB_LIMIT:
-        blocks = [t for t in ray.get(global_stats.to_arrow_refs()) if t.num_rows]
-        if blocks:
-            gs = pa.concat_tables(blocks)
-            stats_ref = ray.put(
-                (
-                    gs["term"].combine_chunks(),
-                    gs["gdf"].combine_chunks(),
-                    gs["gcf"].combine_chunks(),
-                )
-            )
-        else:
-            stats_ref = ray.put(
-                (
-                    pa.array([], type=pa.string()),
-                    pa.array([], type=pa.int64()),
-                    pa.array([], type=pa.int64()),
-                )
-            )
-
-        def attach_stats(batch: pa.Table) -> pa.Table:
-            terms_v, gdf_v, gcf_v = ray.get(stats_ref)
-            idx = pc.index_in(batch["term"], value_set=terms_v)
-            return pa.Table.from_arrays(
-                [
-                    batch["segment_id"],
-                    batch["term"],
-                    pc.take(gdf_v, idx),
-                    pc.take(gcf_v, idx),
-                ],
-                names=["segment_id", "term", "gdf", "gcf"],
-            )
-
-        stats = per_seg.select_columns(["segment_id", "term"]).map_batches(
-            attach_stats, batch_format="pyarrow"
-        )
-    else:
-        # huge-vocab path: distributed hash join
-        avail_cpus = int(ray.cluster_resources().get("CPU", 8))
-        nparts = min(shuffle_partitions or 32, max(2, avail_cpus // 2))
-        stats = per_seg.select_columns(["segment_id", "term"]).join(
-            global_stats, "inner", nparts, on=("term",)
-        )
-    stats.write_parquet(
-        os.path.join(index_dir, "termstats"), partition_cols=["segment_id"]
-    )
+    ])
 
 
 def _whitelist_filter(whitelist: frozenset):
@@ -668,8 +607,6 @@ def _stage_writer(staging: str, row_group_rows: int):
     direct build) and returns its path with its first and last key, by
     which the driver orders the files."""
     import uuid
-
-    import pyarrow.parquet as pq
 
     def write(batch: pa.Table) -> pa.Table:
         paths, ends = [], []

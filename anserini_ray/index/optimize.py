@@ -11,7 +11,7 @@ segments, so the work is partition-local: one Ray task per
 (term, first_local), passes single-run terms through, byte-concatenates
 the runs of every multi-run term (`_concat_group`) and writes one
 term-sorted file; the driver then swaps each partition in. Nothing is
-shuffled and no key passes through the driver. Stats, docmap and
+shuffled and no key passes through the driver. Termstats, docmap and
 docvecs are untouched (content is identical)."""
 
 from __future__ import annotations
@@ -216,11 +216,7 @@ def recover_interrupted_optimize(index_dir: str) -> bool:
     in postings.old — restore it. Also restores postings/ as a whole from
     postings.old, the crash state of indexes whose optimize swapped the
     whole directory. Called by optimize_index and by SegmentReader open.
-    Also restores headless termstats partitions (same crash window in
-    _dedup_termstats). Returns True if a postings recovery happened."""
-    ts_root = os.path.join(index_dir, "termstats")
-    if os.path.isdir(ts_root):
-        _recover_termstats(ts_root)
+    Returns True if a recovery happened."""
     post_dir = os.path.join(index_dir, "postings")
     old_dir = os.path.join(index_dir, "postings.old")
     if not os.path.isdir(old_dir):
@@ -304,94 +300,11 @@ def _compact_partition(part_dir: str, out_dir: str, segment_id: int) -> bool:
     return True
 
 
-def _recover_termstats(ts_root: str) -> None:
-    """Restore termstats partitions left headless by a crash mid-swap.
-    A `.old` (original) or `.optimizing` (complete deduped copy) whose live
-    partition is missing is moved back into place; backups whose live
-    partition exists are stale and removed. `.old` wins over `.optimizing`
-    when both exist (the original is always a superset-valid state)."""
-    # Pass 1: .old backups — the original; restore it whenever the live
-    # partition is gone, otherwise the swap completed and it's stale.
-    for entry in os.listdir(ts_root):
-        if not entry.endswith(".old") or not entry.startswith("segment_id="):
-            continue
-        src = os.path.join(ts_root, entry)
-        live = os.path.join(ts_root, entry[: -len(".old")])
-        if os.path.isdir(live):
-            shutil.rmtree(src, ignore_errors=True)
-        else:
-            os.replace(src, live)
-    # Pass 2: .optimizing copies — after pass 1 a live partition exists for
-    # every segment that had an .old, so a still-headless .optimizing means
-    # the crash hit after rmtree(old): promote the complete deduped copy.
-    for entry in os.listdir(ts_root):
-        if not entry.endswith(".optimizing") or not entry.startswith(
-            "segment_id="
-        ):
-            continue
-        src = os.path.join(ts_root, entry)
-        live = os.path.join(ts_root, entry[: -len(".optimizing")])
-        if os.path.isdir(live):
-            shutil.rmtree(src, ignore_errors=True)
-        else:
-            os.replace(src, live)
-
-
-def _dedup_termstats(index_dir: str, segments: list[int] | None) -> None:
-    """Rewrite termstats partitions as DISTINCT (term, gdf, gcf) rows.
-    Builds that predate the distinct sidecar wrote one row per (term, unit)
-    with identical global values — harmless to readers but up to
-    units-per-segment× bloat (measured 139×: 1.7 GB whose load-time sort
-    cost 275 s). Dedup of an already-distinct partition is a cheap no-op
-    rewrite. Each partition swap is atomic; every intermediate state
-    (mixed deduped/dup partitions) is valid. Crash window: between the
-    two os.replace calls of a swap, the live partition is missing while
-    an intact original sits in `.old` (and a complete deduped copy in
-    `.optimizing`) — the cleanup loop below restores before it deletes,
-    mirroring recover_interrupted_optimize for postings."""
-    ts_root = os.path.join(index_dir, "termstats")
-    if not os.path.isdir(ts_root):
-        return
-    _recover_termstats(ts_root)
-    want = None if segments is None else {int(s) for s in segments}
-
-    @ray.remote(num_cpus=1)
-    def _one(part_dir: str) -> None:
-        t = pq.read_table(part_dir, columns=["term", "gdf", "gcf"])
-        agg = t.group_by("term").aggregate([("gdf", "min"), ("gcf", "min")])
-        out = agg.rename_columns(["term", "gdf", "gcf"]).combine_chunks()
-        tmp = part_dir + ".optimizing"
-        shutil.rmtree(tmp, ignore_errors=True)
-        os.makedirs(tmp)
-        pq.write_table(
-            out, os.path.join(tmp, "part-0.parquet"),
-            row_group_size=_ROW_GROUP_SIZE,
-        )
-        old = part_dir + ".old"
-        shutil.rmtree(old, ignore_errors=True)
-        os.replace(part_dir, old)
-        os.replace(tmp, part_dir)
-        shutil.rmtree(old, ignore_errors=True)
-
-    jobs = []
-    for entry in os.listdir(ts_root):
-        if not entry.startswith("segment_id="):
-            continue
-        if entry.endswith(".optimizing") or entry.endswith(".old"):
-            continue  # handled (restored or removed) by _recover_termstats
-        sid = int(entry.split("=", 1)[1])
-        if want is not None and sid not in want:
-            continue
-        jobs.append(_one.remote(os.path.join(ts_root, entry)))
-    if jobs:
-        ray.get(jobs)
-
-
 def optimize_index(index_dir: str, segments: list[int] | None = None) -> None:
-    """Force-merge posting runs and dedup termstats sidecars of the given
-    segments (None: every `postings/segment_id=S` partition), so cost is
-    proportional to the partitions compacted, not the index. The append
-    auto-compaction hook passes the fragmented segments.
+    """Force-merge posting runs of the given segments (None: every
+    `postings/segment_id=S` partition), so cost is proportional to the
+    partitions compacted, not the index. The append auto-compaction hook
+    passes the fragmented segments. Termstats are global and untouched.
 
     One Ray task per partition (`_compact_partition`) writes the compacted
     copy into `postings.optimizing/segment_id=S`; once every task has
@@ -409,7 +322,6 @@ def optimize_index(index_dir: str, segments: list[int] | None = None) -> None:
     single segment in BASELINE.md held 4.7 GB of postings before
     compaction, all of which one task would hold."""
     recover_interrupted_optimize(index_dir)
-    _dedup_termstats(index_dir, segments)
     post_dir = os.path.join(index_dir, "postings")
     tmp_dir = os.path.join(index_dir, "postings.optimizing")
     old_dir = os.path.join(index_dir, "postings.old")

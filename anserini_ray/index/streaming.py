@@ -29,7 +29,9 @@ by one task that:
      counters, sort boundaries, per-segment doc partials) — the lineage
      record that makes the build resumable at UNIT granularity,
   6. returns only skinny (segment_id, term, df, cf) rows — the only data
-     that flows on, into the (tiny) global term-stats groupby.
+     that flows on. They are the delta of the global termstats table
+     (`build.write_termstats`): a fresh build sums them, and an append adds
+     them to the committed table without reading old postings back.
 
 Reference analog: the reference's multithreaded Lucene writer
 (`J/index/IndexCollection.java:729-893`) has no build resume at all
@@ -58,6 +60,7 @@ from ..state.manifest import (
     SegmentManifest,
     completed_segments,
     input_fingerprint,
+    termstats_dir,
 )
 from .build import (
     INDEX_FORMAT_VERSION,
@@ -486,13 +489,14 @@ def build_index_streaming(
 
     manifest, markers = _finalize(
         index_dir, config, units, fingerprint, total_input,
-        None if resumed else skinny, _mark,
+        None if resumed else skinny, [], 0, _mark,
     )
     manifest.counters.update(
         resumed_units=len(resumed), total_units=len(units),
         stage_secs=stage_secs,
     )
     manifest.write(index_dir)
+    _drop_stale_generations(index_dir, manifest.termstats_gen)
 
     # Post-build auto-compaction, same hook as append: a bulk build whose
     # units-per-segment crosses the threshold leaves every posting list
@@ -528,13 +532,16 @@ def _stage_timer():
 
 
 def _finalize(index_dir: str, config: IndexConfig, units: list[dict],
-              fingerprint: str, total_input: int, skinny, mark):
+              fingerprint: str, total_input: int, delta,
+              committed: list[str], generation: int, mark):
     """Shared tail of build and append: verify the (conv_id, turn_idx) order
     across the boundaries of `units` (the units this call planned) from
     their markers, sum EVERY marker of the index into per-segment doc/dl/run
-    counts, write the termstats (from `skinny`, or from a skinny-column
-    read-back of all postings when None) and the per-segment manifests.
-    Returns the (unwritten) IndexManifest and the markers."""
+    counts, write termstats generation `generation` and the per-segment
+    manifests. The termstats are the `delta` rows plus the `committed` part
+    files; a None delta means a skinny-column read-back of all postings.
+    Returns the (unwritten) IndexManifest, which names the
+    generation and commits it once written, and the markers."""
     markers = _load_markers(index_dir)
     missing = [u["unit_id"] for u in units if u["unit_id"] not in markers]
     if missing:
@@ -553,10 +560,9 @@ def _finalize(index_dir: str, config: IndexConfig, units: list[dict],
             )
         prev_last = tuple(m["last"])
 
-    if skinny is None:
-        skinny = ray.data.read_parquet(
-            os.path.join(index_dir, "postings"),
-            columns=["term", "df", "cf", "segment_id"],
+    if delta is None:
+        delta = ray.data.read_parquet(
+            os.path.join(index_dir, "postings"), columns=["term", "df", "cf"]
         ).materialize()
     seg_counts: dict[int, int] = {}
     seg_sum_dl: dict[int, int] = {}
@@ -572,7 +578,7 @@ def _finalize(index_dir: str, config: IndexConfig, units: list[dict],
             seg_sum_dl[sid] = seg_sum_dl.get(sid, 0) + int(vals[1])
             if len(vals) > 2:
                 term_counts[sid] = term_counts.get(sid, 0) + int(vals[2])
-    write_termstats(skinny, index_dir, config.shuffle_partitions)
+    write_termstats(delta, index_dir, generation, committed)
     mark("termstats")
 
     segments = []
@@ -610,8 +616,21 @@ def _finalize(index_dir: str, config: IndexConfig, units: list[dict],
             "errors": err_total,
         },
         segments=segments,
+        termstats_gen=generation,
+        termstats_units=max(markers, default=-1) + 1,
     )
     return manifest, markers
+
+
+def _drop_stale_generations(index_dir: str, keep: int) -> None:
+    """Remove every termstats generation but the committed one (older
+    generations, and a newer one a crashed write left uncommitted)."""
+    import shutil
+
+    root = os.path.join(index_dir, "termstats")
+    for entry in os.listdir(root):
+        if entry != f"g{keep}":
+            shutil.rmtree(os.path.join(root, entry), ignore_errors=True)
 
 
 def _auto_compact(index_dir: str, markers: dict, touched: set[int],
@@ -673,9 +692,12 @@ def append_index_streaming(
     span files, so even the unit plan matches; verified bit-for-bit in
     tests). New docs may extend the last partially-filled segment; their
     partition files land beside the old ones under the same hive layout.
-    Global term stats and manifests are recomputed from the full on-disk
-    skinny read-back (stats are global, so this is unavoidable — but it is
-    the SKINNY columns only, never postings payloads).
+    The global termstats are incremental: the new generation is the
+    committed table plus the new units' (term, df, cf) rows, with no read
+    of old postings. That holds when no unit was resumed and the committed
+    generation counts exactly the units before this append; otherwise
+    (a retry after a crash, a leftover unit of another append) the table is
+    recomputed from a skinny-column read-back of all postings.
 
     The appended corpus must use the same analyzer/segmenting config as the
     original build (checked against the manifest)."""
@@ -725,7 +747,7 @@ def append_index_streaming(
     base_start = max(m["base"] + m["rows"] for m in original.values())
     next_uid = max(original) + 1
 
-    units, new_rows, columns = plan_units(paths)
+    units, _, columns = plan_units(paths)
     for u in units:
         u["unit_id"] += next_uid
         u["base"] += base_start
@@ -754,26 +776,38 @@ def append_index_streaming(
     _remove_unmarked_unit_files(index_dir)
     import shutil
 
-    shutil.rmtree(os.path.join(index_dir, "termstats"), ignore_errors=True)
     shutil.rmtree(os.path.join(index_dir, "manifests"), ignore_errors=True)
     _mark("plan")
 
     todo = [u for u in units if u["unit_id"] not in resumed]
     if todo:
         ds = ray.data.from_items(todo, override_num_blocks=len(todo))
-        ds.map_batches(
+        delta = ds.map_batches(
             UnitWorker(index_dir, config, columns, fingerprint,
                        verify_sorted=True),
             batch_format="pyarrow",
         ).materialize()
+    else:
+        delta = ray.data.from_arrow(_skinny_empty())
     _mark("tokenize_encode_write")
 
+    # The committed generation counts the units below old.termstats_units,
+    # so only units at or past that bound are new to the counters. Adding
+    # the delta to it is exact only when no unit was resumed and the bound
+    # is where this call's units start; otherwise read all postings back.
+    gen = old.termstats_gen
+    committed = [] if gen is None else sorted(glob.glob(
+        os.path.join(termstats_dir(index_dir, gen), "part-*.parquet")))
+    if resumed or not committed or old.termstats_units != next_uid:
+        delta, committed = None, []
+    total_input = int(old.counters.get("total_input", 0)) + sum(
+        u["rows"] for u in units if u["unit_id"] >= old.termstats_units
+    )
     # the boundary check covers ONLY the new units (the appended corpus
-    # need not sort after the old one — ordinals are disjoint); stats are
-    # global, so termstats come from a read-back of all postings
-    total_input = int(old.counters.get("total_input", 0)) + new_rows
+    # need not sort after the old one — ordinals are disjoint)
     manifest, markers = _finalize(
-        index_dir, config, units, fingerprint, total_input, None, _mark
+        index_dir, config, units, fingerprint, total_input, delta, committed,
+        0 if gen is None else gen + 1, _mark,
     )
 
     # auto-compaction: segments this append touched that have accumulated
@@ -794,4 +828,5 @@ def append_index_streaming(
         auto_compacted_segments=compacted, stage_secs=stage_secs,
     )
     manifest.write(index_dir)
+    _drop_stale_generations(index_dir, manifest.termstats_gen)
     return manifest

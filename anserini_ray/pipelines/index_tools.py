@@ -44,23 +44,14 @@ def dump_doc_lengths(index_dir: str) -> pa.Table:
 
 
 def top_df_terms(index_dir: str, k: int = 100) -> pa.Table:
-    """Global top-k terms by df from the built index (ExtractTopDfTerms)."""
-    from ..search import LocalSearcher
+    """Global top-k terms by df from the built index (ExtractTopDfTerms),
+    ties by term."""
+    from ..search.segment_reader import read_termstats
+    from ..state import IndexManifest
 
-    s = LocalSearcher(index_dir)
-    seen: dict[str, tuple[int, int]] = {}
-    for r in s.readers:
-        for term, gdf in r.global_df.items():
-            if term not in seen:
-                seen[term] = (gdf, r.global_cf.get(term, 0))
-    items = sorted(seen.items(), key=lambda kv: (-kv[1][0], kv[0]))[:k]
-    return pa.table(
-        {
-            "term": [t for t, _ in items],
-            "df": pa.array([v[0] for _, v in items], type=pa.int64()),
-            "cf": pa.array([v[1] for _, v in items], type=pa.int64()),
-        }
-    )
+    ts = read_termstats(index_dir, IndexManifest.read(index_dir))
+    top = ts.sort_by([("gdf", "descending"), ("term", "ascending")])[:k]
+    return pa.table({"term": top["term"], "df": top["gdf"], "cf": top["gcf"]})
 
 
 def collection_stats_from_index(index_dir: str) -> pa.Table:

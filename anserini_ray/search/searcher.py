@@ -35,7 +35,7 @@ import pyarrow as pa
 from ..analysis.analyzer import make_analyzer
 from ..state.manifest import IndexManifest
 from .bm25 import DEFAULT_B, DEFAULT_K1, BM25Params, F, idf
-from .segment_reader import SegmentReader
+from .segment_reader import SegmentReader, load_termstats
 from .ties import adjust_score_ties, format_trec_run
 
 DEFAULT_K = 1000
@@ -68,8 +68,11 @@ class LocalSearcher:
         self.manifest = IndexManifest.read(index_dir)
         if segment_ids is None:
             segment_ids = [s["segment_id"] for s in self.manifest.segments]
+        termstats = load_termstats(index_dir, self.manifest)
+        self.global_df, self.global_cf = termstats
         self.readers = [
-            SegmentReader(index_dir, sid, self.manifest) for sid in segment_ids
+            SegmentReader(index_dir, sid, self.manifest, termstats)
+            for sid in segment_ids
         ]
         self.mode = mode or self.manifest.norm_mode
         self.params = BM25Params(
@@ -393,11 +396,7 @@ class LocalSearcher:
         return {}
 
     def _global_df(self, term: str) -> int:
-        for r in self.readers:
-            v = r.global_df.get(term)
-            if v is not None:
-                return v
-        return 0
+        return self.global_df.get(term, 0)
 
     def search_rm3(
         self,

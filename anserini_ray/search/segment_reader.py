@@ -24,7 +24,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..index.varint import varint_decode
-from ..state.manifest import IndexManifest
+from ..state.manifest import IndexManifest, termstats_dir
 from .norms import quantize_lengths
 
 # Segments at or above this doc count keep identity columns (conv_id,
@@ -210,8 +210,38 @@ class _LazyBlobColumns:
         self._cache_bytes = 0
 
 
+def read_termstats(index_dir: str, manifest: IndexManifest) -> pa.Table:
+    """The global (term, gdf, gcf) table of the termstats generation the
+    manifest commits, sorted by term. Its part files are each sorted by
+    term and split by term hash, so more than one needs a sort."""
+    if manifest.termstats_gen is None:
+        raise ValueError(
+            f"{index_dir}: index format v{manifest.version} has no global "
+            "termstats table — rebuild the index"
+        )
+    d = termstats_dir(index_dir, manifest.termstats_gen)
+    files = sorted(f for f in os.listdir(d) if f.endswith(".parquet"))
+    ts = pa.concat_tables([pq.read_table(os.path.join(d, f)) for f in files])
+    return ts.sort_by("term") if len(files) > 1 else ts
+
+
+def load_termstats(index_dir: str, manifest: IndexManifest):
+    """(global_df, global_cf) maps over `read_termstats`. Sorted-Arrow
+    binary-search maps, NOT Python dicts: on a realistic vocabulary (1M
+    terms) materializing dict entries costs GBs and seconds of load; the
+    Arrow table stays compact and lookups are O(log V) with a hot-term
+    memo."""
+    ts = read_termstats(index_dir, manifest)
+    terms = ts["term"].combine_chunks()
+    return (_SortedTermMap(terms, ts["gdf"].to_numpy()),
+            _SortedTermMap(terms, ts["gcf"].to_numpy()))
+
+
 class SegmentReader:
-    def __init__(self, index_dir: str, segment_id: int, manifest: IndexManifest):
+    def __init__(self, index_dir: str, segment_id: int, manifest: IndexManifest,
+                 termstats=None):
+        """termstats: the (global_df, global_cf) pair of `load_termstats`,
+        shared by the readers of one searcher; loaded here when None."""
         self.segment_id = segment_id
         self.manifest = manifest
         self.base_ord = segment_id << manifest.seg_shift
@@ -401,17 +431,9 @@ class SegmentReader:
         if self._conv_id is None and self.doc_count < IDENTITY_LAZY_MIN_DOCS:
             self._identity_columns()
 
-        ts = pq.read_table(
-            os.path.join(index_dir, "termstats", f"segment_id={segment_id}"),
-            columns=["term", "gdf", "gcf"],
-        ).sort_by("term")
-        # Sorted-Arrow binary-search maps, NOT Python dicts: on a realistic
-        # vocabulary (1M terms x many segments) materializing dict entries
-        # costs tens of GB and minutes of load; the Arrow table stays
-        # compact and lookups are O(log V) with a hot-term memo.
-        terms_sorted = ts["term"].combine_chunks()
-        self.global_df = _SortedTermMap(terms_sorted, ts["gdf"].to_numpy())
-        self.global_cf = _SortedTermMap(terms_sorted, ts["gcf"].to_numpy())
+        self.global_df, self.global_cf = (
+            termstats or load_termstats(index_dir, manifest)
+        )
 
     # ------------------------------------------------------------------ api
     def clear_caches(self) -> None:

@@ -8,8 +8,9 @@ task per partition that concatenates its sub-tables and hash-aggregates
 again with the MERGE functions (sum-of-counts, sum-of-sums, min-of-mins,
 max-of-maxs). Only pre-combined rows ever move; reducer fan-in is bounded
 by the partition count. Measured ~20x faster than `Dataset.groupby` on a
-600K-row 500K-distinct-key skinny table (see BASELINE.md round 3);
-`index/build._hash_agg_term_stats` is the index-build instantiation.
+600K-row 500K-distinct-key skinny table (see BASELINE.md round 3).
+`index/build.write_termstats` uses the same shape for one key and writes
+each partition as a file.
 
 Supported aggs: ("count", None) plus ("sum"|"min"|"max", col).
 """

@@ -57,6 +57,11 @@ class IndexManifest:
     sum_total_tf: int = 0
     counters: dict = field(default_factory=dict)
     segments: list = field(default_factory=list)
+    # the committed global termstats table, `termstats/g<termstats_gen>/`,
+    # and the unit-id bound it counts: it holds the stats of every unit
+    # whose id is below termstats_units. Writing this manifest commits them.
+    termstats_gen: int | None = None
+    termstats_units: int = 0
 
     @property
     def avgdl(self) -> float:
@@ -72,6 +77,10 @@ class IndexManifest:
     def read(index_dir: str) -> "IndexManifest":
         with open(os.path.join(index_dir, "manifest.json")) as f:
             return IndexManifest(**json.load(f))
+
+
+def termstats_dir(index_dir: str, generation: int) -> str:
+    return os.path.join(index_dir, "termstats", f"g{generation}")
 
 
 def completed_segments(index_dir: str, fingerprint: str) -> set[int]:

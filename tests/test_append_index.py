@@ -172,6 +172,110 @@ def test_append_retry_after_crash_is_idempotent(corpora, tmp_path_factory):
     assert m4.sum_total_tf == m3.sum_total_tf
 
 
+def _termstats_table(index_dir):
+    from anserini_ray.search.segment_reader import read_termstats
+    from anserini_ray.state import IndexManifest
+
+    return read_termstats(index_dir, IndexManifest.read(index_dir))
+
+
+def _counters(m):
+    return {k: m.counters[k] for k in ("total_input", "indexed", "empty")}
+
+
+def test_chained_appends_extend_termstats_incrementally(
+    corpora, tmp_path_factory, monkeypatch
+):
+    """Each append adds its own units' (term, df, cf) rows to the committed
+    termstats table without reading old postings back; after three chained
+    appends the table equals a one-shot build's."""
+    import ray.data
+
+    files = corpora[0] + corpora[1]
+    root = tmp_path_factory.mktemp("append_chain")
+    inc, ref = str(root / "incremental"), str(root / "oneshot")
+    cfg = IndexConfig(seg_shift=12, assume_sorted=True)
+    build_index(index_dir=inc, config=cfg, input_paths=files[:1])
+
+    def no_readback(*args, **kwargs):
+        raise AssertionError("append read postings back")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(ray.data, "read_parquet", no_readback)
+        for f in files[1:]:
+            m = append_index_streaming([f], inc, cfg)
+    assert m.termstats_gen == 3
+    assert os.listdir(os.path.join(inc, "termstats")) == ["g3"]
+    m_ref = build_index(index_dir=ref, config=cfg, input_paths=files)
+    assert _termstats_table(inc).equals(_termstats_table(ref))
+    assert _counters(m) == _counters(m_ref)
+
+
+def test_crash_before_manifest_keeps_committed_termstats(
+    corpora, tmp_path_factory, monkeypatch
+):
+    """An append that dies after writing termstats generation N+1 but before
+    its manifest leaves generation N in use; the retry converges to the
+    one-shot build."""
+    from anserini_ray.index import streaming
+
+    files = corpora[0] + corpora[1]
+    root = tmp_path_factory.mktemp("append_gen_crash")
+    inc, ref = str(root / "incremental"), str(root / "oneshot")
+    cfg = IndexConfig(seg_shift=12, assume_sorted=True)
+    build_index(index_dir=inc, config=cfg, input_paths=files[:1])
+    append_index_streaming(files[1:2], inc, cfg)
+    committed = _termstats_table(inc)
+
+    def crash(*args, **kwargs):
+        raise RuntimeError("crash before the manifest")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(streaming, "_auto_compact", crash)
+        with pytest.raises(RuntimeError):
+            append_index_streaming(files[2:3], inc, cfg)
+    assert sorted(os.listdir(os.path.join(inc, "termstats"))) == ["g1", "g2"]
+    s = LocalSearcher(inc)
+    assert dict(s.global_df.items()) == dict(
+        zip(committed["term"].to_pylist(), committed["gdf"].to_pylist()))
+    assert dict(s.global_cf.items()) == dict(
+        zip(committed["term"].to_pylist(), committed["gcf"].to_pylist()))
+
+    m = append_index_streaming(files[2:3], inc, cfg)  # the retry
+    m_ref = build_index(index_dir=ref, config=cfg, input_paths=files[:3])
+    assert os.listdir(os.path.join(inc, "termstats")) == ["g2"]
+    assert _termstats_table(inc).equals(_termstats_table(ref))
+    assert _counters(m) == _counters(m_ref)
+    assert m.segments == m_ref.segments
+    s_inc, s_ref = LocalSearcher(inc), LocalSearcher(ref)
+    for q in QUERIES:
+        di, si = s_inc.search(q, k=40)
+        dr, sr = s_ref.search(q, k=40)
+        assert di == dr
+        assert list(map(float, si)) == list(map(float, sr))
+
+
+def test_append_retry_counts_input_once(corpora, tmp_path_factory):
+    """A retry of an append the manifest already counts, and a no-op
+    re-append, leave the input counters equal to the one-shot build's."""
+    import glob
+
+    a_files, b_files = corpora
+    root = tmp_path_factory.mktemp("append_count")
+    inc, ref = str(root / "incremental"), str(root / "oneshot")
+    cfg = IndexConfig(seg_shift=12, assume_sorted=True)
+    build_index(index_dir=inc, config=cfg, input_paths=a_files)
+    append_index_streaming(b_files, inc, cfg)
+    os.unlink(sorted(glob.glob(os.path.join(inc, "units", "u*.json")))[-1])
+    m_retry = append_index_streaming(b_files, inc, cfg)
+    m_again = append_index_streaming(b_files, inc, cfg)
+    m_ref = build_index(index_dir=ref, config=cfg,
+                        input_paths=a_files + b_files)
+    assert _counters(m_retry) == _counters(m_ref)
+    assert _counters(m_again) == _counters(m_ref)
+    assert _termstats_table(inc).equals(_termstats_table(ref))
+
+
 def test_append_auto_compaction(ray_session, tmp_path_factory):
     """Fragmented segments get force-merged in place after an append
     (threshold in unit-writes since last compaction); results stay

@@ -67,38 +67,6 @@ def test_bulk_build_autocompacts_and_is_identical(ray_session, corpus, tmp_path)
     assert _run_all(plain_dir) == _run_all(compact_dir)
 
 
-def test_optimize_dedups_legacy_termstats(ray_session, corpus, tmp_path):
-    """Indexes from builds predating the distinct termstats sidecar carry
-    duplicated (term, unit) rows; optimize_index must rewrite them distinct
-    with identical search results."""
-    import pyarrow.parquet as pq_
-
-    from anserini_ray.index.optimize import optimize_index
-
-    index_dir = str(tmp_path / "idx")
-    build_index(
-        index_dir=index_dir,
-        config=IndexConfig(seg_shift=16, assume_sorted=True,
-                           auto_compact_unit_runs=None),
-        input_paths=corpus,
-    )
-    before = _run_all(index_dir)
-    # simulate the legacy bloat: triplicate every termstats row
-    ts_dir = os.path.join(index_dir, "termstats", "segment_id=0")
-    t = pq_.read_table(ts_dir)
-    import pyarrow as pa_
-
-    bloated = pa_.concat_tables([t, t, t])
-    for fn in os.listdir(ts_dir):
-        os.unlink(os.path.join(ts_dir, fn))
-    pq_.write_table(bloated, os.path.join(ts_dir, "part-0.parquet"))
-    assert _run_all(index_dir) == before  # readers tolerate duplicates
-    optimize_index(index_dir)
-    deduped = pq_.read_table(ts_dir)
-    assert deduped.num_rows == t.num_rows
-    assert _run_all(index_dir) == before
-
-
 def test_resume_of_completed_compacted_build_is_noop(ray_session, corpus, tmp_path):
     index_dir = str(tmp_path / "idx")
     cfg = IndexConfig(

@@ -56,31 +56,17 @@ def test_optimize_preserves_results(ray_session, tmp_path_factory):
     assert d2 == before["merge sort"][0]
 
 
-def _termstats_rows(idx: str, seg: int):
+def test_optimize_leaves_termstats_untouched(ray_session, tmp_path_factory):
+    """Termstats are one global table, not per-segment sidecars: compacting
+    every partition leaves termstats/ byte-identical."""
     import os
-
-    part = os.path.join(idx, "termstats", f"segment_id={seg}")
-    return pq.read_table(part, columns=["term", "gdf", "gcf"]).sort_by("term")
-
-
-def test_termstats_swap_crash_recovery(ray_session, tmp_path_factory):
-    """A crash between the two os.replace calls of a termstats partition
-    swap leaves the live dir missing with the original in .old and the
-    deduped copy in .optimizing. Both recovery entry points (the next
-    optimize run and recover_interrupted_optimize, which readers call)
-    must restore the partition instead of deleting the backups."""
-    import os
-    import shutil
 
     import ray.data
 
     from anserini_ray.index import IndexConfig, build_index
-    from anserini_ray.index.optimize import (
-        optimize_index,
-        recover_interrupted_optimize,
-    )
+    from anserini_ray.index.optimize import optimize_index
 
-    tmp = tmp_path_factory.mktemp("ts_crash")
+    tmp = tmp_path_factory.mktemp("opt_ts")
     p = str(tmp / "c.parquet")
     pq.write_table(generate_transcripts(400, seed=17), p)
     idx = str(tmp / "idx")
@@ -90,42 +76,22 @@ def test_termstats_swap_crash_recovery(ray_session, tmp_path_factory):
         IndexConfig(seg_shift=8, encode_batch_size=64),
         input_files=[p],
     )
-    segs = sorted(
-        int(e.split("=", 1)[1])
-        for e in os.listdir(os.path.join(idx, "termstats"))
-        if e.startswith("segment_id=") and "." not in e.split("=", 1)[1]
-    )
-    assert len(segs) >= 2
-    golden = {s: _termstats_rows(idx, s) for s in segs}
 
-    def simulate_crash(seg: int):
-        """Reproduce the exact mid-swap state: live gone, .old = original,
-        .optimizing = a complete rewritten copy."""
-        part = os.path.join(idx, "termstats", f"segment_id={seg}")
-        shutil.copytree(part, part + ".optimizing")
-        os.replace(part, part + ".old")
+    def snapshot(root):
+        out = {}
+        for d, _, files in os.walk(root):
+            for f in files:
+                with open(os.path.join(d, f), "rb") as fh:
+                    out[os.path.relpath(os.path.join(d, f), root)] = fh.read()
+        return out
 
-    # Entry point 1: a subsequent optimize run's cleanup path.
-    simulate_crash(segs[0])
-    optimize_index(idx, segments=[segs[0]])
-    assert _termstats_rows(idx, segs[0]).equals(golden[segs[0]])
-    assert not os.path.exists(
-        os.path.join(idx, "termstats", f"segment_id={segs[0]}.old")
-    )
-
-    # Entry point 2: reader-side recovery.
-    simulate_crash(segs[1])
-    recover_interrupted_optimize(idx)
-    assert _termstats_rows(idx, segs[1]).equals(golden[segs[1]])
-    for e in os.listdir(os.path.join(idx, "termstats")):
-        assert not e.endswith(".old") and not e.endswith(".optimizing")
-
-    # Late-crash variant: .old already deleted, only .optimizing remains —
-    # the complete deduped copy must be promoted, not discarded.
-    part = os.path.join(idx, "termstats", f"segment_id={segs[1]}")
-    os.replace(part, part + ".optimizing")
-    recover_interrupted_optimize(idx)
-    assert _termstats_rows(idx, segs[1]).equals(golden[segs[1]])
+    post = os.path.join(idx, "postings")
+    ts = os.path.join(idx, "termstats")
+    before_post, before_ts = snapshot(post), snapshot(ts)
+    assert len(before_post) >= 2 and before_ts
+    optimize_index(idx)
+    assert snapshot(post) != before_post  # precondition: it compacted
+    assert snapshot(ts) == before_ts
 
 
 def test_concat_group_decodes_identical_to_reencode(ray_session):

@@ -373,3 +373,32 @@ def test_staged_resume_fingerprints_whitelist(ray_session, tmp_path):
                     whitelist={f"c{i:03d}:0" for i in half})
         docs, _ = LocalSearcher(idx).search(word, k=n)
         assert len(docs) == n // 2, word
+
+
+@pytest.mark.parametrize("source", ["zero_row_parquet", "empty_whitelist"])
+def test_empty_input_builds_zero_doc_index(ray_session, tmp_path, source):
+    """An input with no rows to index builds an index with zero docs and an
+    empty global termstats table, which a searcher opens and answers with
+    no hits."""
+    import ray.data
+
+    from anserini_ray.search.segment_reader import read_termstats
+    from anserini_ray.sources import generate_transcripts
+
+    t = generate_transcripts(40, seed=5)
+    src = str(tmp_path / "c.parquet")
+    idx = str(tmp_path / "idx")
+    if source == "zero_row_parquet":
+        pq.write_table(t.slice(0, 0), src)
+        m = build_index(index_dir=idx, config=IndexConfig(assume_sorted=True),
+                        input_paths=[src])
+    else:
+        pq.write_table(t, src)
+        m = build_index(ray.data.read_parquet(src), idx, IndexConfig(),
+                        input_files=[src], whitelist=[])
+    assert m.doc_count == 0 and m.segments == []
+    assert read_termstats(idx, m).num_rows == 0
+    s = LocalSearcher(idx)
+    assert s.readers == []
+    docs, scores = s.search("merge sort pipeline", k=10)
+    assert docs == [] and len(scores) == 0
