@@ -1,4 +1,4 @@
-from .build import IndexConfig, TokenizeDocs, build_index
+from .build import IndexConfig, build_index
 from .streaming import append_index_streaming, build_index_streaming
 from .optimize import optimize_index
 from .varint import (
@@ -11,7 +11,7 @@ from .varint import (
 )
 
 __all__ = [
-    "IndexConfig", "TokenizeDocs", "build_index", "optimize_index",
+    "IndexConfig", "build_index", "optimize_index",
     "append_index_streaming", "build_index_streaming",
     "decode_postings", "delta_decode", "delta_encode",
     "encode_postings", "varint_decode", "varint_encode",

@@ -129,29 +129,6 @@ def _process_analyzer(analyzer_config: dict | None):
     return a
 
 
-class TokenizeDocs:
-    """map_batches stage (works as a task fn via TokenizeDocs(cfg) or as a
-    callable class) over `tokenize_table`. With store_positions, also emits
-    per-(doc, term) token position lists (Lucene `-storePositions` analog,
-    `J/index/IndexArgs.java:69-72`) — roughly doubles the tokenized payload,
-    enabling phrase/proximity queries."""
-
-    def __init__(
-        self,
-        analyzer_config: dict | None = None,
-        store_positions: bool = False,
-        shard: tuple[int, int] | None = None,
-    ):
-        self.analyzer_config = analyzer_config
-        self.store_positions = store_positions
-        self.shard = shard
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return tokenize_table(
-            batch, self.analyzer_config, self.store_positions, self.shard
-        )[0]
-
-
 def tokenize_table(
     batch: pa.Table,
     analyzer_config: dict | None,

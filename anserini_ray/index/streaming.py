@@ -66,6 +66,7 @@ from .build import (
     INDEX_FORMAT_VERSION,
     IndexConfig,
     NotSortedError,
+    _empty_subblock_table,
     make_subblock_encoder,
     tokenize_table,
     write_termstats,
@@ -254,7 +255,7 @@ class UnitWorker:
             for lo in range(0, max(tok.num_rows, 1), self.encode_batch)
         ]
         chunks = [c for c in chunks if c.num_rows]
-        sub = pa.concat_tables(chunks) if chunks else _skinny_empty()
+        sub = pa.concat_tables(chunks) if chunks else _empty_subblock_table()
         sub_segs = sub["segment_id"].to_numpy() if sub.num_rows else np.array([])
         for s in uniq_segs:
             part = sub.filter(pa.array(sub_segs == s)).drop_columns(["segment_id"])

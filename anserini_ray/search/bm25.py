@@ -51,7 +51,9 @@ class BM25Params:
         self.k1 = F(k1)
         self.b = F(b)
         self.mode = mode
-        self.avgdl = F(sum_total_tf / max(1, doc_count))
+        # no terms at all (zero docs, or only empty docs): Lucene's
+        # fallback avgdl of 1, which no posting is ever scored with
+        self.avgdl = F(sum_total_tf / doc_count) if sum_total_tf > 0 else F(1)
         if mode == "lucene":
             # float32 op order identical to BM25Similarity.scorer()
             self.cache = self.k1 * (

@@ -1189,7 +1189,6 @@ class Searcher:
         prune: bool = False,
         similarity: str = "bm25",
         sim_params: dict | None = None,
-        tie_break: str = "docid",
     ):
         self.manifest = IndexManifest.read(index_dir)
         seg_ids = [s["segment_id"] for s in self.manifest.segments]

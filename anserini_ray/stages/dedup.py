@@ -663,121 +663,45 @@ def ngram_jaccard_join(
 def dup_bucket_groups(buckets, band_col: str, hash_col: str, id_col: str):
     """(band, hash, id) bucket rows -> (band, hash, sorted member-id list)
     groups for buckets with >= 2 members — WITHOUT one Python map_groups
-    call per bucket. On a mostly-unique corpus almost every bucket is a
-    singleton (measured: 4M buckets, 67K with dups — the naive
-    groupby().map_groups cost ~4 minutes of pure per-group call overhead),
-    so: count per key with the Arrow hash aggregate, broadcast the dup keys
-    (small by definition of 'dup'), filter the emit rows map-side, and run
-    the groupby over ONLY the dup-keyed rows."""
-    from .hashagg import hash_aggregate
+    call per bucket (on a mostly-unique corpus almost every bucket is a
+    singleton: measured 4M buckets, 67K with dups, where the naive
+    groupby().map_groups cost ~4 minutes of per-group call overhead).
 
-    # materialize once: buckets feed BOTH the count aggregate and the
-    # keep_dup filter — left lazy, the (expensive) signature stage upstream
-    # executes twice (the write_termstats double-execution lesson); the
-    # materialized rows are skinny (band, hash, id)
-    buckets = buckets.materialize()
-    counts = hash_aggregate(
-        buckets,
-        keys=[band_col, hash_col],
-        aggs=[("count", None)],
-        out_names=["c"],
-    )
-
-    def dup_only(t: pa.Table) -> pa.Table:
-        return t.filter(pc.greater(t["c"], 1)).select([band_col, hash_col])
-
-    blocks = [
-        t
-        for t in ray.get(
-            counts.map_batches(dup_only, batch_format="pyarrow")
-            .to_arrow_refs()
-        )
-        if t.num_rows
-    ]
-    id_type = _arrow_schema(buckets).field(id_col).type
-    if not blocks:
-        empty = pa.Table.from_arrays(
-            [
-                pa.array([], type=pa.int32()),
-                pa.array([], type=pa.int64()),
-                pa.array([], type=pa.list_(id_type)),
-            ],
-            names=[band_col, hash_col, "doc_ids"],
-        )
-        return ray.data.from_arrow(empty)
-    keyt = pa.concat_tables(blocks)
-
-    def packed(band, hsh) -> pa.Array:
-        return pc.binary_join_element_wise(
-            pc.cast(band, pa.string()), pc.cast(hsh, pa.string()), ":"
-        )
-
-    key_ref = ray.put(packed(keyt[band_col], keyt[hash_col]).combine_chunks())
-
-    def keep_dup(t: pa.Table) -> pa.Table:
-        return t.filter(
-            pc.is_in(packed(t[band_col], t[hash_col]), value_set=ray.get(key_ref))
-        )
-
-    # Group formation WITHOUT one map_groups call per bucket (67K dup
-    # buckets still cost ~30 s of per-group overhead): hash-partition the
-    # dup rows on the (well-mixed) hash column so every key's rows co-locate
-    # in ONE of nparts partitions, then build all of a partition's groups
-    # vectorized (sort + run-boundary detection + ListArray offsets).
-    nparts = max(2, min(int(ray.cluster_resources().get("CPU", 8)), 32))
-
-    def add_part(t: pa.Table) -> pa.Table:
-        h = t[hash_col].to_numpy(zero_copy_only=False).view(np.uint64)
-        return t.append_column(
-            "__part", pa.array((h % np.uint64(nparts)).astype(np.int64))
-        )
+    One hash-partitioned exchange on (band, hash) puts every row of a
+    bucket in one partition; each partition builds all its groups
+    vectorized: sort, run-boundary detection, runs of >= 2 members kept
+    as ListArray offsets. Nothing but refs passes through the driver."""
+    from .hashagg import hash_partition_apply
 
     def build_groups(part: pa.Table) -> pa.Table:
-        if part.num_rows == 0:
-            return pa.Table.from_arrays(
-                [
-                    pa.array([], type=pa.int32()),
-                    pa.array([], type=pa.int64()),
-                    pa.array([], type=pa.list_(id_type)),
-                ],
-                names=[band_col, hash_col, "doc_ids"],
-            )
-        order = pc.sort_indices(
-            part,
-            sort_keys=[(band_col, "ascending"), (hash_col, "ascending"),
-                       (id_col, "ascending")],
+        part = part.sort_by(
+            [(band_col, "ascending"), (hash_col, "ascending"),
+             (id_col, "ascending")]
         )
-        part = part.take(order)
-        band = part[band_col].to_numpy(zero_copy_only=False)
-        hsh = part[hash_col].to_numpy(zero_copy_only=False)
-        n = part.num_rows
+        band = part[band_col].to_numpy()
+        hsh = part[hash_col].to_numpy()
         change = (band[1:] != band[:-1]) | (hsh[1:] != hsh[:-1])
-        bounds = np.concatenate([[0], np.flatnonzero(change) + 1, [n]])
-        firsts = bounds[:-1]
-        ids_col_sorted = part[id_col].combine_chunks()
-        lists = pa.ListArray.from_arrays(
-            pa.array(bounds, type=pa.int32()), ids_col_sorted
+        bounds = np.concatenate(
+            [[0], np.flatnonzero(change) + 1, [part.num_rows]]
         )
+        lens = np.diff(bounds)
+        dup = lens >= 2
+        firsts = pa.array(bounds[:-1][dup])
+        offsets = np.concatenate([[0], np.cumsum(lens[dup])])
+        members = part[id_col].filter(pa.array(np.repeat(dup, lens)))
         return pa.Table.from_arrays(
             [
-                pc.cast(
-                    part[band_col].take(pa.array(firsts)), pa.int32()
+                pc.cast(part[band_col].take(firsts), pa.int32()),
+                pc.cast(part[hash_col].take(firsts), pa.int64()),
+                pa.ListArray.from_arrays(
+                    pa.array(offsets, type=pa.int32()),
+                    members.combine_chunks(),
                 ),
-                pc.cast(part[hash_col].take(pa.array(firsts)), pa.int64()),
-                lists,
             ],
             names=[band_col, hash_col, "doc_ids"],
         )
 
-    return (
-        buckets.map_batches(keep_dup, batch_format="pyarrow")
-        .map_batches(add_part, batch_format="pyarrow")
-        .groupby("__part")
-        .map_groups(
-            lambda g: build_groups(g.drop_columns(["__part"])),
-            batch_format="pyarrow",
-        )
-    )
+    return hash_partition_apply(buckets, [band_col, hash_col], build_groups)
 
 
 # ----------------------------------------------- distributed pair machinery
@@ -1080,20 +1004,20 @@ def duplicate_ngram_spans(ds, n: int = 8, text_col: str = "text",
     overlapping or adjacent covered windows merge into maximal per-doc
     spans. Returns (id_col, start_tok, end_tok exclusive, n_grams).
 
-    Plan (two shuffles, both key-partitioned):
-      1. map-only vectorized gram emission (rolling 64-bit mixes of
-         memoized md5 token hashes, positions by bincount offsets);
-      2. duplicated grams via the vectorized hash aggregate; the dup-key
-         set is broadcast once (ray.put) and emissions filter map-side —
-         at trillion-gram scale swap this for a hash-partitioned
-         semi-join (the near-dup verify path's join machinery);
-      3. covered positions hash-partition on the doc key; each of the
-         <= 32 partitions builds ALL its spans vectorized (lexsort +
-         run-boundary detection), no per-doc Python.
+    Plan (map-only emission, then two hash-partitioned exchanges):
+      1. vectorized gram emission (rolling 64-bit mixes of memoized md5
+         token hashes, positions by bincount offsets);
+      2. exchange on the gram: every occurrence of a gram lands in one
+         partition, which counts its grams in-partition and keeps the
+         (id, pos) rows of grams seen >= 2 times — no key set is
+         gathered on or broadcast from the driver;
+      3. exchange on the doc id: each of the <= 32 partitions builds
+         ALL its spans vectorized (lexsort + run-boundary detection),
+         no per-doc Python.
     64-bit gram-hash collisions can only over-mark a position as
     covered (conservative for dedup); exact-match oracles hold at test
     scale."""
-    from .hashagg import hash_aggregate, vectorized_key_hash
+    from .hashagg import hash_partition_apply
 
     def emit(batch: pa.Table) -> pa.Table:
         H, D, P = _gram_hash_positions(batch[text_col], n)
@@ -1103,87 +1027,40 @@ def duplicate_ngram_spans(ds, n: int = 8, text_col: str = "text",
             names=["gram", id_col, "pos"],
         )
 
-    # materialized once: feeds BOTH the count aggregate and the covered
-    # filter (the double-execution lesson from write_termstats)
-    rows = ds.map_batches(emit, batch_format="pyarrow").materialize()
-    counts = hash_aggregate(
-        rows, keys=["gram"], aggs=[("count", None)], out_names=["c"]
-    )
-
-    def dup_only(t: pa.Table) -> pa.Table:
-        return t.filter(pc.greater(t["c"], 1)).select(["gram"])
-
-    blocks = [
-        t for t in ray.get(
-            counts.map_batches(dup_only, batch_format="pyarrow")
-            .to_arrow_refs()
-        ) if t.num_rows
-    ]
-    id_type = _arrow_schema(rows).field(id_col).type
-    empty = pa.Table.from_arrays(
-        [
-            pa.array([], type=id_type),
-            pa.array([], type=pa.int64()),
-            pa.array([], type=pa.int64()),
-            pa.array([], type=pa.int64()),
-        ],
-        names=[id_col, "start_tok", "end_tok", "n_grams"],
-    )
-    if not blocks:
-        return ray.data.from_arrow(empty)
-    key_ref = ray.put(pa.concat_tables(blocks)["gram"].combine_chunks())
-
-    def covered(t: pa.Table) -> pa.Table:
-        return t.filter(
-            pc.is_in(t["gram"], value_set=ray.get(key_ref))
-        ).select([id_col, "pos"])
-
-    nparts = max(2, min(int(ray.cluster_resources().get("CPU", 8)), 32))
-
-    def add_part(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "__part",
-            pa.array(
-                vectorized_key_hash(t, [id_col], nparts).astype(np.int64)
-            ),
+    def covered(part: pa.Table) -> pa.Table:
+        _, inverse, counts = np.unique(
+            part["gram"].to_numpy(), return_inverse=True, return_counts=True
+        )
+        return part.filter(pa.array(counts[inverse] > 1)).select(
+            [id_col, "pos"]
         )
 
     def build_spans(part: pa.Table) -> pa.Table:
-        if part.num_rows == 0:
-            return empty
         ids = part[id_col].combine_chunks()
-        pos = part["pos"].to_numpy(zero_copy_only=False)
+        pos = part["pos"].to_numpy()
         enc = ids.dictionary_encode()
-        if isinstance(enc, pa.ChunkedArray):
-            enc = enc.combine_chunks()
         did = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
         order = np.lexsort((pos, did))
         did_s, pos_s = did[order], pos[order]
-        brk = np.ones(order.size, dtype=bool)
-        if order.size > 1:
-            # same doc AND windows [p, p+n) overlap or touch -> merge
-            brk[1:] = ~(
-                (did_s[1:] == did_s[:-1])
-                & ((pos_s[1:] - pos_s[:-1]) <= n)
-            )
-        starts = np.flatnonzero(brk)
-        ends = np.concatenate([starts[1:], [order.size]])
-        out_ids = enc.dictionary.take(pa.array(did_s[starts]))
+        # a span breaks unless the next row is the same doc AND its
+        # window [p, p+n) overlaps or touches the previous one
+        brk = ~((did_s[1:] == did_s[:-1]) & ((pos_s[1:] - pos_s[:-1]) <= n))
+        first = np.concatenate([[True], brk])[: order.size]
+        last = np.concatenate([brk, [True]])[: order.size]
+        firsts, lasts = np.flatnonzero(first), np.flatnonzero(last)
         return pa.Table.from_arrays(
             [
-                out_ids,
-                pa.array(pos_s[starts]),
-                pa.array(pos_s[ends - 1] + n),
-                pa.array((ends - starts).astype(np.int64)),
+                enc.dictionary.take(pa.array(did_s[firsts])),
+                pa.array(pos_s[firsts], type=pa.int64()),
+                pa.array(pos_s[lasts] + n, type=pa.int64()),
+                pa.array(lasts - firsts + 1, type=pa.int64()),
             ],
             names=[id_col, "start_tok", "end_tok", "n_grams"],
         )
 
-    return (
-        rows.map_batches(covered, batch_format="pyarrow")
-        .map_batches(add_part, batch_format="pyarrow")
-        .groupby("__part")
-        .map_groups(build_spans, batch_format="pyarrow")
+    grams = ds.map_batches(emit, batch_format="pyarrow")
+    return hash_partition_apply(
+        hash_partition_apply(grams, ["gram"], covered), [id_col], build_spans
     )
 
 

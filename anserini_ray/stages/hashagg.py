@@ -1,16 +1,23 @@
-"""Arrow-kernel hash aggregation — the scalable replacement for Ray Data's
-sort-based groupby on string/composite keys.
+"""Hash-partitioned exchange and the Arrow-kernel hash aggregate built on
+it — the scalable replacement for Ray Data's sort-based groupby on
+string/composite keys.
 
-Shape: per-block pyarrow `Table.group_by` (C++ hash aggregate — the
-combiner), then an explicit vectorized hash partition over the Arrow key
-buffers (`vectorized_key_hash`), then one merge
-task per partition that concatenates its sub-tables and hash-aggregates
-again with the MERGE functions (sum-of-counts, sum-of-sums, min-of-mins,
-max-of-maxs). Only pre-combined rows ever move; reducer fan-in is bounded
-by the partition count. Measured ~20x faster than `Dataset.groupby` on a
-600K-row 500K-distinct-key skinny table (see BASELINE.md round 3).
-`index/build.write_termstats` uses the same shape for one key and writes
-each partition as a file.
+`hash_partition_apply` is the one exchange: every block is split by a
+vectorized hash of its key columns over the Arrow buffers
+(`vectorized_key_hash`), and one task per partition concatenates its
+slices and applies a function to the whole partition. Every row of a key
+lands in one partition, so per-key work (counting, run detection, span
+building) runs in-partition with no driver round trip; reducer fan-in is
+bounded by the partition count.
+
+`hash_aggregate` pre-combines each batch with pyarrow `Table.group_by`
+(C++ hash aggregate — the combiner) and merges each partition with the
+MERGE functions (sum-of-counts, sum-of-sums, min-of-mins, max-of-maxs).
+Only pre-combined rows ever move. Measured ~20x faster than
+`Dataset.groupby` on a 600K-row 500K-distinct-key skinny table (see
+BASELINE.md round 3). `stages/dedup.py` builds its duplicate-key paths
+on the same exchange; `index/build.write_termstats` uses the same shape
+for one key and writes each partition as a file.
 
 Supported aggs: ("count", None) plus ("sum"|"min"|"max", col).
 """
@@ -142,18 +149,48 @@ def _agg_lists(keys, aggs, out_names, for_merge: bool):
     return spec, produced
 
 
-_key_hash = vectorized_key_hash
+@ray.remote
+def _split_block(table: pa.Table, keys: list[str], nparts: int):
+    """One block -> nparts slices by key hash."""
+    part = vectorized_key_hash(table, keys, nparts)
+    order = np.argsort(part, kind="stable")
+    t = table.take(pa.array(order))
+    bounds = np.searchsorted(part[order], np.arange(nparts + 1))
+    return [t.slice(bounds[p], bounds[p + 1] - bounds[p]) for p in range(nparts)]
 
 
 @ray.remote
-def _merge_partition(keys, aggs, out_names, *tables: pa.Table) -> pa.Table:
-    parts = [t for t in tables if t.num_rows]
-    if not parts:
-        first = tables[0]
-        return first.slice(0, 0)
-    spec, produced = _agg_lists(keys, aggs, out_names, for_merge=True)
-    merged = pa.concat_tables(parts).group_by(keys).aggregate(spec)
-    return merged.select(keys + produced).rename_columns(keys + out_names)
+def _apply_partition(fn, *slices: pa.Table) -> pa.Table:
+    return fn(pa.concat_tables(slices))
+
+
+def hash_partition_apply(ds, keys: list[str], fn, nparts: int | None = None):
+    """Hash-partition the rows of `ds` on `keys` and apply `fn` to each
+    partition, so every row of a key reaches the same `fn` call.
+
+    Each non-empty block is split into nparts slices by
+    `vectorized_key_hash` (one task per block); one task per partition
+    concatenates its slices and returns `fn(table)`. nparts defaults to
+    min(32, cluster CPUs) and is at least 2. Only object refs pass through
+    the driver. Returns a Dataset of the nparts results."""
+    cpus = int(ray.cluster_resources().get("CPU", 8))
+    nparts = max(2, nparts or min(32, cpus))
+    # Ray Data represents skipped-empty blocks as 0-row tables with an EMPTY
+    # schema; drop them by metadata (no driver-side fetch) or the split
+    # would miss the key columns. Each block is split as soon as the
+    # upstream pipeline yields it.
+    splits = [
+        _split_block.options(num_returns=nparts).remote(block, keys, nparts)
+        for bundle in ds.iter_internal_ref_bundles()
+        for block, meta in bundle.blocks
+        if meta.num_rows is None or meta.num_rows > 0
+    ]
+    if not splits:
+        return ray.data.from_items([])
+    return ray.data.from_arrow_refs([
+        _apply_partition.remote(fn, *[s[p] for s in splits])
+        for p in range(nparts)
+    ])
 
 
 def hash_aggregate(
@@ -170,64 +207,21 @@ def hash_aggregate(
     columns keys + out_names.
 
     Shape: a streaming map_batches PRE-COMBINE runs inside the input
-    pipeline (so what gets materialized is key-cardinality-bounded per
-    block, never raw rows), then per-block partitioning + per-partition
-    merge tasks using the merge functions."""
+    pipeline (so what gets exchanged is key-cardinality-bounded per
+    batch, never raw rows), then `hash_partition_apply` merges each key
+    partition with the merge functions."""
+    local_spec, local_cols = _agg_lists(keys, aggs, out_names, for_merge=False)
+    merge_spec, merge_cols = _agg_lists(keys, aggs, out_names, for_merge=True)
+    inputs = sorted({c for _, c in aggs if c})
 
     def precombine(batch: pa.Table) -> pa.Table:
-        spec, produced = _agg_lists(keys, aggs, out_names, for_merge=False)
-        agg = batch.select(
-            keys + sorted({c for _, c in aggs if c})
-        ).group_by(keys).aggregate(spec)
-        return agg.select(keys + produced).rename_columns(keys + out_names)
+        agg = batch.select(keys + inputs).group_by(keys).aggregate(local_spec)
+        return agg.select(keys + local_cols).rename_columns(keys + out_names)
 
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    nparts = nparts or max(2, min(32, cpus))
-    mat = ds.map_batches(precombine, batch_format="pyarrow").materialize()
-    # Ray Data represents skipped-empty blocks as 0-row tables with an EMPTY
-    # schema; drop them by metadata (no driver-side fetch) or the per-block
-    # partition would miss the key columns.
-    refs = [
-        block
-        for bundle in mat.iter_internal_ref_bundles()
-        for block, meta in bundle.blocks
-        if meta.num_rows is None or meta.num_rows > 0
-    ]
-    if not refs:
-        return mat
-    per_block = [
-        _partition_combined.options(num_returns=nparts).remote(
-            r, keys, aggs, out_names, nparts
-        )
-        for r in refs
-    ]
-    merged = [
-        _merge_partition.remote(
-            keys, aggs, out_names, *[blk[p] for blk in per_block]
-        )
-        for p in range(nparts)
-    ]
-    return ray.data.from_arrow_refs(merged)
+    def merge(t: pa.Table) -> pa.Table:
+        agg = t.group_by(keys).aggregate(merge_spec)
+        return agg.select(keys + merge_cols).rename_columns(keys + out_names)
 
-
-@ray.remote
-def _partition_combined(
-    table: pa.Table, keys: list[str], aggs, out_names, nparts: int
-) -> list[pa.Table]:
-    """Partition an already-pre-combined block by crc32(keys) — combining
-    again with the MERGE functions first (a block may span multiple input
-    batches)."""
-    spec, produced = _agg_lists(keys, aggs, out_names, for_merge=True)
-    agg = (
-        table.group_by(keys)
-        .aggregate(spec)
-        .select(keys + produced)
-        .rename_columns(keys + out_names)
+    return hash_partition_apply(
+        ds.map_batches(precombine, batch_format="pyarrow"), keys, merge, nparts
     )
-    part = _key_hash(agg, keys, nparts)
-    order = np.argsort(part, kind="stable")
-    s = agg.take(pa.array(order))
-    bounds = np.searchsorted(part[order], np.arange(nparts + 1))
-    return [
-        s.slice(bounds[p], bounds[p + 1] - bounds[p]) for p in range(nparts)
-    ]

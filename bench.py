@@ -68,9 +68,11 @@ def run_bench(num_cpus: int, sf_dir: str) -> dict:
     # Warm the cluster before timing: spawn workers + import the library in
     # them (session startup is not pipeline throughput).
     warm = ray.data.read_parquet(corpus_files[0], columns=["conv_id", "turn_idx", "text"]).limit(2000)
-    from anserini_ray.index.build import TokenizeDocs as _TD
+    from anserini_ray.index.build import tokenize_table
 
-    warm.map_batches(_TD(None), batch_format="pyarrow").materialize()
+    warm.map_batches(
+        lambda b: tokenize_table(b, None, False)[0], batch_format="pyarrow"
+    ).materialize()
 
     timings: dict[str, float] = {}
     index_dir = f"/tmp/anserini_ray_bench_{num_cpus}"
@@ -151,7 +153,7 @@ def run_scaling_build(num_cpus: int, n_turns: int) -> dict:
     import ray.data
 
     from anserini_ray.index import IndexConfig, build_index
-    from anserini_ray.index.build import TokenizeDocs
+    from anserini_ray.index.build import tokenize_table
     from anserini_ray.sources import write_synthetic_corpus
 
     corpus_dir = f"/tmp/anserini_ray_corpus_{n_turns}"
@@ -163,7 +165,9 @@ def run_scaling_build(num_cpus: int, n_turns: int) -> dict:
     # warm worker processes (session startup is not pipeline throughput)
     ray.data.read_parquet(
         corpus_files[0], columns=["conv_id", "turn_idx", "text"]
-    ).limit(2000).map_batches(TokenizeDocs(None), batch_format="pyarrow").materialize()
+    ).limit(2000).map_batches(
+        lambda b: tokenize_table(b, None, False)[0], batch_format="pyarrow"
+    ).materialize()
 
     # best-of-2 trials: page-cache/worker warmup variance otherwise
     # dominates the low-cpu run

@@ -106,3 +106,12 @@ def test_tweetid_tie_break(ray_session, tmp_path):
     assert ids_tw == ["10:0", "9:0", "2:0"]  # numeric tweet id DESC
     with pytest.raises(ValueError):
         LocalSearcher(idx, tie_break="nope")
+
+
+def test_distributed_searcher_has_no_tie_break():
+    """The tweet-id tie break is a LocalSearcher option only: the actor-pool
+    Searcher rejects it instead of silently returning docid order."""
+    from anserini_ray.search.searcher import Searcher
+
+    with pytest.raises(TypeError):
+        Searcher("unused-index-dir", tie_break="tweetid")

@@ -48,15 +48,24 @@ def _canon(df: pd.DataFrame) -> pd.DataFrame:
     return df
 
 
-@pytest.fixture(scope="module")
-def oracle_con(sf_dir):
+def _connect(sf: str):
     con = duckdb.connect()
     for t in _TABLES:
         con.execute(
             f"CREATE VIEW {t} AS SELECT * "
-            f"FROM read_parquet('{sf_dir}/{t}.parquet')"
+            f"FROM read_parquet('{sf}/{t}.parquet')"
         )
     return con
+
+
+@pytest.fixture(scope="module")
+def oracle_con(sf_dir):
+    return _connect(sf_dir)
+
+
+@pytest.fixture(scope="module")
+def oracle_con01(sf01_dir):
+    return _connect(sf01_dir)
 
 
 def _registry():
@@ -111,3 +120,16 @@ def test_registry_and_oracle_keys_consistent():
         sorted(set(_QS) - set(_SQLS)),
         sorted(set(_SQLS) - set(_QS)),
     )
+
+
+# The near-dup entries, whose duplicate keys go through the hash-partitioned
+# exchange, also run at sf0.01.
+_NEAR_DUP = [
+    "duplicate_spans", "embedding_near_dup", "minhash_dedup",
+    "ngram_jaccard_pairs", "simhash_groups", "simhash_pairs",
+]
+
+
+@pytest.mark.parametrize("name", _NEAR_DUP)
+def test_near_dup_entry_sf001(name, ray_session, sf01_dir, oracle_con01):
+    test_registry_entry(name, ray_session, sf01_dir, oracle_con01)

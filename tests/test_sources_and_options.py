@@ -277,7 +277,6 @@ def test_tokenize_error_resilience():
 
     key = (("stub", "boom"),)
     B._ANALYZER_CACHE[key] = Boom()
-    tok = B.TokenizeDocs(dict(key))
     batch = pa.table(
         {
             "conv_id": ["a", "b", "c"],
@@ -285,9 +284,10 @@ def test_tokenize_error_resilience():
             "text": ["fine doc", "poison doc", "another fine"],
         }
     )
-    out = tok(batch)
+    out, kept, errors, _ = B.tokenize_table(batch, dict(key), False)
     assert out.num_rows == 2
     assert out["conv_id"].to_pylist() == ["a", "c"]
+    assert kept.tolist() == [0, 2] and errors == 1
 
 
 def test_fake_words_ann(ray_session, tmp_path_factory):

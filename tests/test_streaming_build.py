@@ -375,6 +375,7 @@ def test_staged_resume_fingerprints_whitelist(ray_session, tmp_path):
         assert len(docs) == n // 2, word
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("source", ["zero_row_parquet", "empty_whitelist"])
 def test_empty_input_builds_zero_doc_index(ray_session, tmp_path, source):
     """An input with no rows to index builds an index with zero docs and an
@@ -401,4 +402,22 @@ def test_empty_input_builds_zero_doc_index(ray_session, tmp_path, source):
     s = LocalSearcher(idx)
     assert s.readers == []
     docs, scores = s.search("merge sort pipeline", k=10)
+    assert docs == [] and len(scores) == 0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_stopword_only_input_builds_readable_index(ray_session, tmp_path):
+    """A unit whose docs all analyze to no terms writes a postings file
+    with the posting-run schema, so the index opens and answers with no
+    hits."""
+    src = str(tmp_path / "c.parquet")
+    idx = str(tmp_path / "idx")
+    pq.write_table(pa.table({
+        "conv_id": ["c0", "c1"],
+        "turn_idx": pa.array([0, 0], type=pa.int32()),
+        "text": ["the a an", "of the"],
+    }), src)
+    build_index(index_dir=idx, config=IndexConfig(assume_sorted=True),
+                input_paths=[src])
+    docs, scores = LocalSearcher(idx).search("the a an of", k=10)
     assert docs == [] and len(scores) == 0
