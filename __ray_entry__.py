@@ -4,7 +4,8 @@ Ray is initialised by the driver BEFORE this module is imported — nothing
 here (or in anserini_ray) calls ray.init()/ray.shutdown().
 
 - ``entry()``  — flagship: build the inverted index over the sf0.001
-  transcript corpus and run the benchmark query set through the BM25 engine;
+  transcript corpus and rank the benchmark query set by BM25 (float64
+  rescoring of the index, cross-checked against the float32 engine);
   returns the ranked run table.
 - ``queries()`` — one callable per implemented pipeline (SURVEY.md §2).
 - ``oracle_sql()`` — DuckDB-equivalent SQL for every SQL-expressible entry;
@@ -15,6 +16,7 @@ here (or in anserini_ray) calls ray.init()/ray.shutdown().
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from collections.abc import Callable
 from typing import Any
@@ -92,115 +94,125 @@ def _assert_f32_consistent(f32_docs, scores: dict, cands, label: str):
         )
 
 
-def _exhaustive_f64_topk(sf_dir: str, sim: str, k: int = 10):
-    """Oracle-grade top-k over the BUILT index: postings, tfs, termstats and
-    byte4-quantized norms all come from the real segment readers; per-doc
-    scores are recomputed in float64 with the exact formula the DuckDB
-    oracle uses (the engine's float32 Lucene-parity path is separately
-    golden-verified in tests/). Ranking = (round(score,4) desc, docid asc),
-    the same deterministic key as the SQL mirror. Cross-checks that the
-    float32 engine's top-k DOCID SET matches at each k."""
-    import math
-
-    import numpy as np
-    import pyarrow as pa
-
-    from anserini_ray.pipelines.simple import QLD_MU, SIMPLE_QUERIES
-    from anserini_ray.search import LocalSearcher
-
-    index_dir = _ensure_index(sf_dir)
-    s = LocalSearcher(index_dir, similarity="qld" if sim == "qld" else "bm25")
-    N = s.manifest.doc_count
-    C = s.manifest.sum_total_tf
-    avgdl = C / N
-    k1, b = 0.9, 0.4
-    out_rows = []
-    for qid, text in SIMPLE_QUERIES:
-        clauses = s._clauses(text)
-        scores: dict[str, float] = {}
-        for term, cnt in clauses:
-            gdf = s._global_df(term)
-            if gdf <= 0:
-                continue
-            gcf = 0
-            for r in s.readers:
-                gcf = r.global_cf.get(term, 0)
-                if gcf:
-                    break
-            if sim == "qld":
-                p_c = (gcf + 1.0) / (C + 1.0)
-            else:
-                idf = math.log(1 + (N - gdf + 0.5) / (gdf + 0.5))
-            for r in s.readers:
-                post = r.postings(term)
-                if post is None:
-                    continue
-                ords, tfs = post
-                qdl = r.score_dl_lucene[ords].astype(np.float64)
-                tf64 = tfs.astype(np.float64)
-                if sim == "qld":
-                    contrib = cnt * np.maximum(
-                        np.log1p(tf64 / (QLD_MU * p_c))
-                        + np.log(QLD_MU / (qdl + QLD_MU)),
-                        0.0,
-                    )
-                else:
-                    contrib = cnt * idf * tf64 / (
-                        tf64 + k1 * (1 - b + b * qdl / avgdl)
-                    )
-                docids = r.doc_id_strings(r.dense_of_raw(ords))
-                for d, c in zip(docids, contrib):
-                    scores[d] = scores.get(d, 0.0) + float(c)
-        cands = sorted(
-            ((round(sc, 4), d) for d, sc in scores.items()),
-            key=lambda x: (-x[0], x[1]),
-        )[:k]
-        # cross-check vs the REAL f32 engine scorer (s was built with the
-        # matching similarity)
-        if cands:
-            f32_docs, _ = s.search(text, k=k, adjust_ties=False)
-            _assert_f32_consistent(f32_docs, scores, cands, f"{qid!r} ({sim})")
-        for rank, (sc, d) in enumerate(cands):
-            out_rows.append((qid, rank + 1, d, sc))
-    return pa.table(
-        {
-            "qid": pa.array([r[0] for r in out_rows], type=pa.int32()),
-            "rank": pa.array([r[1] for r in out_rows], type=pa.int32()),
-            "doc_id": pa.array([r[2] for r in out_rows], type=pa.string()),
-            "score": pa.array([r[3] for r in out_rows], type=pa.float64()),
-        }
-    )
+# The float64 rescorers below recompute the engine entries' scores from the
+# index's own postings, termstats and byte4-quantized norms with the exact
+# formulas of their DuckDB oracles (the engine's float32 Lucene-parity path
+# is separately golden-verified in tests/), and rank like the oracles.
+_K1, _B = 0.9, 0.4
 
 
-def _bm25_f64_scores(s, text: str) -> dict[str, float]:
-    """Float64 BM25 scores for every doc matching >=1 analyzed query term,
-    from the index's own postings/termstats/byte4 norms (the oracle-grade
-    scoring shared by the engine-entry rescorers)."""
-    import math
-
+def _accumulate(s, weighted, contrib) -> dict[str, float]:
+    """Float64 score per docid: for each (term, weight) in order, and each
+    reader with postings for the term, add contrib(term, weight, tf, dl)
+    (float64 tfs and byte4 Lucene doc lengths of the posting docs) to the
+    docs' scores. Terms with global df 0 have no postings and are skipped.
+    Every doc sums its contributions in term order."""
     import numpy as np
 
-    N = s.manifest.doc_count
-    C = s.manifest.sum_total_tf
-    avgdl = C / N
-    k1, b = 0.9, 0.4
     scores: dict[str, float] = {}
-    for term, cnt in s._clauses(text):
-        gdf = s._global_df(term)
-        if gdf <= 0:
+    for term, w in weighted:
+        if s._global_df(term) <= 0:
             continue
-        idf = math.log(1 + (N - gdf + 0.5) / (gdf + 0.5))
         for r in s.readers:
             post = r.postings(term)
             if post is None:
                 continue
             ords, tfs = post
-            qdl = r.score_dl_lucene[ords].astype(np.float64)
-            tf64 = tfs.astype(np.float64)
-            contrib = cnt * idf * tf64 / (tf64 + k1 * (1 - b + b * qdl / avgdl))
-            for d, c in zip(r.doc_id_strings(r.dense_of_raw(ords)), contrib):
+            add = contrib(
+                term, w, tfs.astype(np.float64),
+                r.score_dl_lucene[ords].astype(np.float64),
+            )
+            for d, c in zip(r.doc_id_strings(r.dense_of_raw(ords)), add):
                 scores[d] = scores.get(d, 0.0) + float(c)
     return scores
+
+
+def _bm25_idf(s, term: str) -> float:
+    N, gdf = s.manifest.doc_count, s._global_df(term)
+    return math.log(1 + (N - gdf + 0.5) / (gdf + 0.5))
+
+
+def _bm25_norm(s, dl):
+    """k1 * (1 - b + b * dl / avgdl), the BM25 length normalisation."""
+    avgdl = s.manifest.sum_total_tf / s.manifest.doc_count
+    return _K1 * (1 - _B + _B * dl / avgdl)
+
+
+def _bm25_f64(s, weighted, idf: bool = True) -> dict[str, float]:
+    """Float64 BM25 of a weighted bag of terms [(term, weight), ...];
+    idf=False scores every term with idf 1 (BM25PRF's second pass)."""
+
+    def bm25(term, w, tf, dl):
+        i = _bm25_idf(s, term) if idf else 1.0
+        return w * i * tf / (tf + _bm25_norm(s, dl))
+
+    return _accumulate(s, weighted, bm25)
+
+
+def _topk(scores: dict[str, float], k: int) -> list[tuple[float, str]]:
+    """The k best (round4 score, docid) pairs by (round(score, 4) desc,
+    docid asc), the ranking key of the SQL oracles and of every feedback
+    selection mirrored here."""
+    return sorted(
+        ((round(sc, 4), d) for d, sc in scores.items()),
+        key=lambda x: (-x[0], x[1]),
+    )[:k]
+
+
+def _run_table(runs, qcol: str = "qid", qtype: str = "int32"):
+    """Ranked-run table (qcol, rank, doc_id, score) from [(query key,
+    [(score, docid), ...]), ...], ranks 1-based in list order."""
+    import pyarrow as pa
+
+    rows = [
+        (q, i + 1, d, sc) for q, hits in runs for i, (sc, d) in enumerate(hits)
+    ]
+    cols = list(zip(*rows)) or [()] * 4
+    return pa.table(
+        {
+            qcol: pa.array(cols[0], type=pa.type_for_alias(qtype)),
+            "rank": pa.array(cols[1], type=pa.int32()),
+            "doc_id": pa.array(cols[2], type=pa.string()),
+            "score": pa.array(cols[3], type=pa.float64()),
+        }
+    )
+
+
+def _exhaustive_f64_topk(sf_dir: str, sim: str, k: int = 10):
+    """BM25 or QLD top-k of the benchmark query set over the BUILT index,
+    rescored in float64 and ranked (round(score,4) desc, docid asc), the
+    same deterministic key as the SQL mirror. Cross-checks that the float32
+    engine's top-k DOCID SET matches at each k."""
+    import numpy as np
+
+    from anserini_ray.pipelines.simple import QLD_MU, SIMPLE_QUERIES
+    from anserini_ray.search import LocalSearcher
+
+    s = LocalSearcher(
+        _ensure_index(sf_dir), similarity="qld" if sim == "qld" else "bm25"
+    )
+    C = s.manifest.sum_total_tf
+
+    def qld(term, cnt, tf, dl):
+        p_c = (s.global_cf.get(term, 0) + 1.0) / (C + 1.0)
+        return cnt * np.maximum(
+            np.log1p(tf / (QLD_MU * p_c)) + np.log(QLD_MU / (dl + QLD_MU)),
+            0.0,
+        )
+
+    runs = []
+    for qid, text in SIMPLE_QUERIES:
+        clauses = s._clauses(text)
+        scores = (_accumulate(s, clauses, qld) if sim == "qld"
+                  else _bm25_f64(s, clauses))
+        cands = _topk(scores, k)
+        # cross-check vs the REAL f32 engine scorer (s was built with the
+        # matching similarity)
+        if cands:
+            f32_docs, _ = s.search(text, k=k, adjust_ties=False)
+            _assert_f32_consistent(f32_docs, scores, cands, f"{qid!r} ({sim})")
+        runs.append((qid, cands))
+    return _run_table(runs)
 
 
 def _phrase_topk(sf_dir: str, k: int = 10):
@@ -208,35 +220,21 @@ def _phrase_topk(sf_dir: str, k: int = 10):
     phrase walk (slop=0), scores recomputed in float64 under the same
     (round4 desc, docid asc) ranking as the SQL oracle; cross-asserts the
     f32 phrase scorer."""
-    import pyarrow as pa
-
     from anserini_ray.pipelines.simple import SIMPLE_QUERIES
     from anserini_ray.search import LocalSearcher
 
-    index_dir = _ensure_index(sf_dir)
-    s = LocalSearcher(index_dir)
-    out_rows = []
+    s = LocalSearcher(_ensure_index(sf_dir))
+    runs = []
     for qid, text in SIMPLE_QUERIES:
         matched, _ = s.phrase_search(text, k=100_000, adjust_ties=False)
         if not matched:
             continue
-        scores = _bm25_f64_scores(s, text)
-        cands = sorted(
-            ((round(scores[d], 4), d) for d in matched),
-            key=lambda x: (-x[0], x[1]),
-        )[:k]
+        scores = _bm25_f64(s, s._clauses(text))
+        cands = _topk({d: scores[d] for d in matched}, k)
         f32_docs, _ = s.phrase_search(text, k=k, adjust_ties=False)
         _assert_f32_consistent(f32_docs, scores, cands, f"{qid!r} (phrase)")
-        for rank, (sc, d) in enumerate(cands):
-            out_rows.append((qid, rank + 1, d, sc))
-    return pa.table(
-        {
-            "qid": pa.array([r[0] for r in out_rows], type=pa.int32()),
-            "rank": pa.array([r[1] for r in out_rows], type=pa.int32()),
-            "doc_id": pa.array([r[2] for r in out_rows], type=pa.string()),
-            "score": pa.array([r[3] for r in out_rows], type=pa.float64()),
-        }
-    )
+        runs.append((qid, cands))
+    return _run_table(runs)
 
 
 def _rm3_topk(sf_dir: str, k: int = 10, fb_terms: int = 10, fb_docs: int = 10,
@@ -250,21 +248,12 @@ def _rm3_topk(sf_dir: str, k: int = 10, fb_terms: int = 10, fb_docs: int = 10,
     engine's own insertion-order-tie-break f32 path is oracle-tested in
     tests/test_rm3.py. Output ranking (round4 desc, docid asc), scores
     float64."""
-    import math
-
-    import numpy as np
-    import pyarrow as pa
-
     from anserini_ray.pipelines.simple import SIMPLE_QUERIES
     from anserini_ray.search import LocalSearcher
 
-    index_dir = _ensure_index(sf_dir)
-    s = LocalSearcher(index_dir)
+    s = LocalSearcher(_ensure_index(sf_dir))
     N = s.manifest.doc_count
-    C = s.manifest.sum_total_tf
-    avgdl = C / N
-    k1, b = 0.9, 0.4
-    out_rows = []
+    runs = []
     for qid, text in SIMPLE_QUERIES:
         clauses = s._clauses(text)
         if not clauses:
@@ -272,11 +261,10 @@ def _rm3_topk(sf_dir: str, k: int = 10, fb_terms: int = 10, fb_docs: int = 10,
         # round4 before feedback selection and weighting: kills float64
         # summation-order noise between engines (docid asc breaks the
         # resulting ties deterministically)
-        first = {d: round(sc, 4) for d, sc in _bm25_f64_scores(s, text).items()}
-        fb = sorted(first.items(), key=lambda kv: (-kv[1], kv[0]))[:fb_docs]
+        fb = _topk(_bm25_f64(s, clauses), fb_docs)
         # per-doc pruned vectors + L1 norms
         rm: dict[str, float] = {}
-        for docid, score in fb:
+        for score, docid in fb:
             dv = []
             for term, tf in s.doc_vector(docid).items():
                 if not (2 <= len(term) <= 20) or not term.isalnum():
@@ -303,41 +291,8 @@ def _rm3_topk(sf_dir: str, k: int = 10, fb_terms: int = 10, fb_docs: int = 10,
             weights[t] = weights.get(t, 0.0) + (
                 (1 - orig_weight) * w / rm_l1 if rm_l1 > 0 else 0.0
             )
-        # weighted second pass, float64
-        scores: dict[str, float] = {}
-        for term, w in weights.items():
-            gdf = s._global_df(term)
-            if gdf <= 0:
-                continue
-            idf = math.log(1 + (N - gdf + 0.5) / (gdf + 0.5))
-            for r in s.readers:
-                post = r.postings(term)
-                if post is None:
-                    continue
-                ords, tfs = post
-                qdl = r.score_dl_lucene[ords].astype(np.float64)
-                tf64 = tfs.astype(np.float64)
-                contrib = w * idf * tf64 / (
-                    tf64 + k1 * (1 - b + b * qdl / avgdl)
-                )
-                for d, c in zip(
-                    r.doc_id_strings(r.dense_of_raw(ords)), contrib
-                ):
-                    scores[d] = scores.get(d, 0.0) + float(c)
-        cands = sorted(
-            ((round(sc, 4), d) for d, sc in scores.items()),
-            key=lambda x: (-x[0], x[1]),
-        )[:k]
-        for rank, (sc, d) in enumerate(cands):
-            out_rows.append((qid, rank + 1, d, sc))
-    return pa.table(
-        {
-            "qid": pa.array([r[0] for r in out_rows], type=pa.int32()),
-            "rank": pa.array([r[1] for r in out_rows], type=pa.int32()),
-            "doc_id": pa.array([r[2] for r in out_rows], type=pa.string()),
-            "score": pa.array([r[3] for r in out_rows], type=pa.float64()),
-        }
-    )
+        runs.append((qid, _topk(_bm25_f64(s, weights.items()), k)))
+    return _run_table(runs)
 
 
 def _bm25prf_topk(sf_dir: str, k: int = 10, fb_terms: int = 20,
@@ -350,32 +305,23 @@ def _bm25prf_topk(sf_dir: str, k: int = 10, fb_terms: int = 20,
     clause boosts = Robertson relevance weights. All inputs from the real
     index; the engine's f32 second pass is oracle-tested in
     tests/test_bm25prf.py."""
-    import math
     import re
-
-    import numpy as np
-    import pyarrow as pa
 
     from anserini_ray.pipelines.simple import SIMPLE_QUERIES
     from anserini_ray.search import LocalSearcher
 
-    index_dir = _ensure_index(sf_dir)
-    s = LocalSearcher(index_dir)
+    s = LocalSearcher(_ensure_index(sf_dir))
     N = s.manifest.doc_count
-    C = s.manifest.sum_total_tf
-    avgdl = C / N
-    k1, b = 0.9, 0.4
     alnum = re.compile(r"^[a-z0-9]+$")
     digits = re.compile(r"^[0-9]+$")
-    out_rows = []
+    runs = []
     for qid, text in SIMPLE_QUERIES:
         orig_terms = s.analyzer.analyze(text)
         if not orig_terms:
             continue
-        first = {d: round(sc, 4) for d, sc in _bm25_f64_scores(s, text).items()}
-        fb = sorted(first.items(), key=lambda kv: (-kv[1], kv[0]))[:fb_docs]
+        fb = _topk(_bm25_f64(s, s._clauses(text)), fb_docs)
         numrel = len(fb)
-        term_sets = [set(s.doc_vector(d)) for d, _ in fb]
+        term_sets = [set(s.doc_vector(d)) for _, d in fb]
         vocab = set().union(*term_sets) if term_sets else set()
 
         def rel_weight(df, df_rel, mult):
@@ -416,35 +362,8 @@ def _bm25prf_topk(sf_dir: str, k: int = 10, fb_terms: int = 20,
             df = s._global_df(term)
             df_rel = sum(1 for ts in term_sets if term in ts)
             weights[term] = rel_weight(df, df_rel, 1.0)
-        # second pass: BM25 with idf == 1, float64
-        scores: dict[str, float] = {}
-        for term, w in weights.items():
-            for r in s.readers:
-                post = r.postings(term)
-                if post is None:
-                    continue
-                ords, tfs = post
-                qdl = r.score_dl_lucene[ords].astype(np.float64)
-                tf64 = tfs.astype(np.float64)
-                contrib = w * tf64 / (tf64 + k1 * (1 - b + b * qdl / avgdl))
-                for d, c in zip(
-                    r.doc_id_strings(r.dense_of_raw(ords)), contrib
-                ):
-                    scores[d] = scores.get(d, 0.0) + float(c)
-        cands = sorted(
-            ((round(sc, 4), d) for d, sc in scores.items()),
-            key=lambda x: (-x[0], x[1]),
-        )[:k]
-        for rank, (sc, d) in enumerate(cands):
-            out_rows.append((qid, rank + 1, d, sc))
-    return pa.table(
-        {
-            "qid": pa.array([r[0] for r in out_rows], type=pa.int32()),
-            "rank": pa.array([r[1] for r in out_rows], type=pa.int32()),
-            "doc_id": pa.array([r[2] for r in out_rows], type=pa.string()),
-            "score": pa.array([r[3] for r in out_rows], type=pa.float64()),
-        }
-    )
+        runs.append((qid, _topk(_bm25_f64(s, weights.items(), idf=False), k)))
+    return _run_table(runs)
 
 
 def _axiom_topk(sf_dir: str, k: int = 10, beta: float = 0.4,
@@ -456,20 +375,11 @@ def _axiom_topk(sf_dir: str, k: int = 10, beta: float = 0.4,
     per-term doc sets from the index's own postings, float64, expansion
     weights round6, ranking (round4 desc, docid asc). The sampled-pool
     engine path stays oracle-tested in tests/test_axiom.py."""
-    import math
-
-    import numpy as np
-    import pyarrow as pa
-
     from anserini_ray.pipelines.simple import SIMPLE_QUERIES
     from anserini_ray.search import LocalSearcher
 
-    index_dir = _ensure_index(sf_dir)
-    s = LocalSearcher(index_dir)
+    s = LocalSearcher(_ensure_index(sf_dir))
     N = s.manifest.doc_count
-    C = s.manifest.sum_total_tf
-    avgdl = C / N
-    k1, b = 0.9, 0.4
     # per-term doc sets over the WHOLE corpus, straight from postings
     inv: dict[str, frozenset] = {}
     union: set = set()
@@ -509,16 +419,13 @@ def _axiom_topk(sf_dir: str, k: int = 10, beta: float = 0.4,
             out += p11 * math.log(p11 / (px1 * py1))
         return out
 
-    out_rows = []
+    runs = []
     for qid, text in SIMPLE_QUERIES:
         q_tokens = s.analyzer.analyze(text)
         if not q_tokens:
             continue
-        q_counts: dict[str, int] = {}
-        for t in q_tokens:
-            q_counts[t] = q_counts.get(t, 0) + 1
         agg: dict[str, float] = {}
-        for q_term, qtf in q_counts.items():
+        for q_term, qtf in s._clauses(text):
             df = s._global_df(q_term)
             if df <= 0 or q_term not in inv:
                 continue
@@ -541,40 +448,8 @@ def _axiom_topk(sf_dir: str, k: int = 10, beta: float = 0.4,
             ((t, round(w / len(q_tokens), 6)) for t, w in agg.items()),
             key=lambda ts: (-ts[1], ts[0]),
         )[:m_terms]
-        scores: dict[str, float] = {}
-        for term, w in final:
-            gdf = s._global_df(term)
-            if gdf <= 0:
-                continue
-            idf = math.log(1 + (N - gdf + 0.5) / (gdf + 0.5))
-            for r in s.readers:
-                post = r.postings(term)
-                if post is None:
-                    continue
-                ords, tfs = post
-                qdl = r.score_dl_lucene[ords].astype(np.float64)
-                tf64 = tfs.astype(np.float64)
-                contrib = w * idf * tf64 / (
-                    tf64 + k1 * (1 - b + b * qdl / avgdl)
-                )
-                for d, c in zip(
-                    r.doc_id_strings(r.dense_of_raw(ords)), contrib
-                ):
-                    scores[d] = scores.get(d, 0.0) + float(c)
-        cands = sorted(
-            ((round(sc, 4), d) for d, sc in scores.items()),
-            key=lambda x: (-x[0], x[1]),
-        )[:k]
-        for rank, (sc, d) in enumerate(cands):
-            out_rows.append((qid, rank + 1, d, sc))
-    return pa.table(
-        {
-            "qid": pa.array([r[0] for r in out_rows], type=pa.int32()),
-            "rank": pa.array([r[1] for r in out_rows], type=pa.int32()),
-            "doc_id": pa.array([r[2] for r in out_rows], type=pa.string()),
-            "score": pa.array([r[3] for r in out_rows], type=pa.float64()),
-        }
-    )
+        runs.append((qid, _topk(_bm25_f64(s, final), k)))
+    return _run_table(runs)
 
 
 def _sdm_topk(sf_dir: str, k: int = 10, term_weight: float = 0.85,
@@ -585,136 +460,84 @@ def _sdm_topk(sf_dir: str, k: int = 10, term_weight: float = 0.85,
     frequencies = Lucene sloppyFreq (ordered: first t2 >= p1+1, width<=1;
     unordered: advance-the-minimum two-pointer walk, |i-j|-1<=8, each
     visited state contributing 1/(1+|i-j|)), clause weight =
-    (idf(t1)+idf(t2)). Positions/postings/norms from the real index; the
-    f32 engine path stays oracle-tested in tests/test_sdm.py."""
-    import math
-
+    (idf(t1)+idf(t2)). A query of fewer than two terms is plain BM25.
+    Positions/postings/norms from the real index; the f32 engine path stays
+    oracle-tested in tests/test_sdm.py."""
     import numpy as np
-    import pyarrow as pa
 
     from anserini_ray.pipelines.simple import SIMPLE_QUERIES
     from anserini_ray.search import LocalSearcher
 
-    index_dir = _ensure_index(sf_dir)
-    s = LocalSearcher(index_dir)
-    N = s.manifest.doc_count
-    C = s.manifest.sum_total_tf
-    avgdl = C / N
-    k1, b = 0.9, 0.4
-    out_rows = []
+    s = LocalSearcher(_ensure_index(sf_dir))
+    runs = []
     for qid, text in SIMPLE_QUERIES:
         terms = s.analyzer.analyze(text)
-        scores: dict[str, float] = {}
-        if len(terms) < 2:
-            scores = {
-                d: sc for d, sc in _bm25_f64_scores(s, text).items()
-            }
-        else:
-            # unigram part at term_weight
-            counts: dict[str, int] = {}
-            for t in terms:
-                counts[t] = counts.get(t, 0) + 1
-            for term, cnt in counts.items():
-                gdf = s._global_df(term)
-                if gdf <= 0:
+        tw = term_weight if len(terms) >= 2 else 1.0
+        scores = _bm25_f64(s, [(t, tw * c) for t, c in s._clauses(text)])
+        # span parts per adjacent pair (duplicates add clauses)
+        pair_mult: dict[tuple, int] = {}
+        for p in zip(terms, terms[1:]):
+            pair_mult[p] = pair_mult.get(p, 0) + 1
+        for (t1, t2), mult in pair_mult.items():
+            if s._global_df(t1) <= 0 or s._global_df(t2) <= 0:
+                continue
+            pair_idf = _bm25_idf(s, t1) + _bm25_idf(s, t2)
+            for r in s.readers:
+                p1 = r.positions(t1)
+                p2 = r.positions(t2)
+                if p1 is None or p2 is None:
                     continue
-                idf = math.log(1 + (N - gdf + 0.5) / (gdf + 0.5))
-                for r in s.readers:
-                    post = r.postings(term)
-                    if post is None:
-                        continue
-                    ords, tfs = post
-                    qdl = r.score_dl_lucene[ords].astype(np.float64)
-                    tf64 = tfs.astype(np.float64)
-                    contrib = (
-                        term_weight * cnt * idf * tf64
-                        / (tf64 + k1 * (1 - b + b * qdl / avgdl))
-                    )
-                    for d, c in zip(
-                        r.doc_id_strings(r.dense_of_raw(ords)), contrib
-                    ):
-                        scores[d] = scores.get(d, 0.0) + float(c)
-            # span parts per adjacent pair (duplicates add clauses)
-            pair_mult: dict[tuple, int] = {}
-            for p in zip(terms, terms[1:]):
-                pair_mult[p] = pair_mult.get(p, 0) + 1
-            for (t1, t2), mult in pair_mult.items():
-                gdf1, gdf2 = s._global_df(t1), s._global_df(t2)
-                if gdf1 <= 0 or gdf2 <= 0:
-                    continue
-                pair_idf = (
-                    math.log(1 + (N - gdf1 + 0.5) / (gdf1 + 0.5))
-                    + math.log(1 + (N - gdf2 + 0.5) / (gdf2 + 0.5))
+                o1, tf1, f1, off1 = p1
+                o2, tf2, f2, off2 = p2
+                common, i1, i2 = np.intersect1d(
+                    o1, o2, assume_unique=True, return_indices=True
                 )
-                for r in s.readers:
-                    p1 = r.positions(t1)
-                    p2 = r.positions(t2)
-                    if p1 is None or p2 is None:
+                for dord, a, bidx in zip(common, i1, i2):
+                    pl1 = f1[off1[a] : off1[a + 1]].astype(np.int64)
+                    pl2 = f2[off2[bidx] : off2[bidx + 1]].astype(np.int64)
+                    # ordered sloppyFreq
+                    fo = 0.0
+                    idx = np.searchsorted(pl2, pl1 + 1, side="left")
+                    for pi, j in zip(pl1, idx):
+                        if j < pl2.size:
+                            width = int(pl2[j]) - int(pi) - 1
+                            if width <= 1:
+                                fo += 1.0 / (1 + width)
+                    # unordered: advance-the-minimum walk
+                    fu = 0.0
+                    x = y = 0
+                    while True:
+                        i, j = int(pl1[x]), int(pl2[y])
+                        dd = abs(i - j)
+                        if dd - 1 <= 8:
+                            fu += 1.0 / (1 + dd)
+                        if i <= j:
+                            x += 1
+                            if x >= pl1.size:
+                                break
+                        else:
+                            y += 1
+                            if y >= pl2.size:
+                                break
+                    if fo <= 0 and fu <= 0:
                         continue
-                    o1, tf1, f1, off1 = p1
-                    o2, tf2, f2, off2 = p2
-                    common, i1, i2 = np.intersect1d(
-                        o1, o2, assume_unique=True, return_indices=True
-                    )
-                    for dord, a, bidx in zip(common, i1, i2):
-                        pl1 = f1[off1[a] : off1[a + 1]].astype(np.int64)
-                        pl2 = f2[off2[bidx] : off2[bidx + 1]].astype(np.int64)
-                        # ordered sloppyFreq
-                        fo = 0.0
-                        idx = np.searchsorted(pl2, pl1 + 1, side="left")
-                        for pi, j in zip(pl1, idx):
-                            if j < pl2.size:
-                                width = int(pl2[j]) - int(pi) - 1
-                                if width <= 1:
-                                    fo += 1.0 / (1 + width)
-                        # unordered: advance-the-minimum walk
-                        fu = 0.0
-                        x = y = 0
-                        while True:
-                            i, j = int(pl1[x]), int(pl2[y])
-                            dd = abs(i - j)
-                            if dd - 1 <= 8:
-                                fu += 1.0 / (1 + dd)
-                            if i <= j:
-                                x += 1
-                                if x >= pl1.size:
-                                    break
-                            else:
-                                y += 1
-                                if y >= pl2.size:
-                                    break
-                        if fo <= 0 and fu <= 0:
-                            continue
-                        raw = int(r.dense_of_raw(np.array([dord]))[0])
-                        docid = r.doc_id_strings(np.array([raw]))[0]
-                        qdl = float(r.score_dl_lucene[dord])
-                        denom = k1 * (1 - b + b * qdl / avgdl)
-                        add = 0.0
-                        if fo > 0:
-                            add += (
-                                mult * ordered_weight * pair_idf
-                                * fo / (fo + denom)
-                            )
-                        if fu > 0:
-                            add += (
-                                mult * unordered_weight * pair_idf
-                                * fu / (fu + denom)
-                            )
-                        scores[docid] = scores.get(docid, 0.0) + add
-        cands = sorted(
-            ((round(sc, 4), d) for d, sc in scores.items()),
-            key=lambda x: (-x[0], x[1]),
-        )[:k]
-        for rank, (sc, d) in enumerate(cands):
-            out_rows.append((qid, rank + 1, d, sc))
-    return pa.table(
-        {
-            "qid": pa.array([r[0] for r in out_rows], type=pa.int32()),
-            "rank": pa.array([r[1] for r in out_rows], type=pa.int32()),
-            "doc_id": pa.array([r[2] for r in out_rows], type=pa.string()),
-            "score": pa.array([r[3] for r in out_rows], type=pa.float64()),
-        }
-    )
+                    raw = int(r.dense_of_raw(np.array([dord]))[0])
+                    docid = r.doc_id_strings(np.array([raw]))[0]
+                    denom = _bm25_norm(s, float(r.score_dl_lucene[dord]))
+                    add = 0.0
+                    if fo > 0:
+                        add += (
+                            mult * ordered_weight * pair_idf
+                            * fo / (fo + denom)
+                        )
+                    if fu > 0:
+                        add += (
+                            mult * unordered_weight * pair_idf
+                            * fu / (fu + denom)
+                        )
+                    scores[docid] = scores.get(docid, 0.0) + add
+        runs.append((qid, _topk(scores, k)))
+    return _run_table(runs)
 
 
 _BGLINK_QUERY_DOCS = ["conv-000000:0", "conv-000010:3", "conv-000030:5"]
@@ -729,20 +552,20 @@ def _bglink_topk(sf_dir: str, k_terms: int = 20, hits: int = 10,
     docvec-cosine dedup (vs the query doc, then pairwise keep-earlier;
     cosines round6). All inputs from the real index; the f32 engine path
     stays behavior-tested in tests/test_background_linking.py."""
-    import math
-
-    import numpy as np
-    import pyarrow as pa
-
     from anserini_ray.search import LocalSearcher
 
-    index_dir = _ensure_index(sf_dir)
-    s = LocalSearcher(index_dir)
+    s = LocalSearcher(_ensure_index(sf_dir))
     N = s.manifest.doc_count
-    C = s.manifest.sum_total_tf
-    avgdl = C / N
-    k1, b = 0.9, 0.4
-    out_rows = []
+
+    def _cos(a: dict, bb: dict) -> float:
+        if not a or not bb:
+            return 0.0
+        dot = sum(v * bb[t] for t, v in a.items() if t in bb)
+        na = math.sqrt(sum(v * v for v in a.values()))
+        nb = math.sqrt(sum(v * v for v in bb.values()))
+        return round(dot / (na * nb), 6) if na and nb else 0.0
+
+    runs = []
     for qd in _BGLINK_QUERY_DOCS:
         qvec = s.doc_vector(qd)
         scored_terms = []
@@ -753,79 +576,22 @@ def _bglink_topk(sf_dir: str, k_terms: int = 20, hits: int = 10,
             tfidf = round(cnt * math.log((1.0 + N) / df), 6) if df > 0 else 0.0
             scored_terms.append((term, tfidf))
         scored_terms.sort(key=lambda p: (-p[1], p[0]))
-        top = [t for t, _ in scored_terms[:k_terms]]
-        scores: dict[str, float] = {}
-        for term in top:
-            gdf = s._global_df(term)
-            if gdf <= 0:
-                continue
-            idf = math.log(1 + (N - gdf + 0.5) / (gdf + 0.5))
-            for r in s.readers:
-                post = r.postings(term)
-                if post is None:
-                    continue
-                ords, tfs = post
-                qdl = r.score_dl_lucene[ords].astype(np.float64)
-                tf64 = tfs.astype(np.float64)
-                contrib = idf * tf64 / (tf64 + k1 * (1 - b + b * qdl / avgdl))
-                for d, c in zip(
-                    r.doc_id_strings(r.dense_of_raw(ords)), contrib
-                ):
-                    scores[d] = scores.get(d, 0.0) + float(c)
-        merged = sorted(
-            ((round(sc, 4), d) for d, sc in scores.items()),
-            key=lambda x: (-x[0], x[1]),
-        )[:hits]
-        merged = [(d, float(hits - i)) for i, (_, d) in enumerate(merged)]
-
-        def _cos(a: dict, bb: dict) -> float:
-            if not a or not bb:
-                return 0.0
-            dot = sum(v * bb[t] for t, v in a.items() if t in bb)
-            na = math.sqrt(sum(v * v for v in a.values()))
-            nb = math.sqrt(sum(v * v for v in bb.values()))
-            return round(dot / (na * nb), 6) if na and nb else 0.0
-
-        vecs = [s.doc_vector(d) for d, _ in merged]
+        weighted = [(t, 1.0) for t, _ in scored_terms[:k_terms]]
+        ranked = [d for _, d in _topk(_bm25_f64(s, weighted), hits)]
+        vecs = [s.doc_vector(d) for d in ranked]
         removed: set[int] = set()
-        for i in range(len(merged)):
+        for i in range(len(ranked)):
             if i in removed:
                 continue
             if _cos(qvec, vecs[i]) >= dedup_threshold:
                 removed.add(i)
                 continue
-            for j in range(i + 1, len(merged)):
+            for j in range(i + 1, len(ranked)):
                 if _cos(vecs[i], vecs[j]) >= dedup_threshold:
                     removed.add(j)
-        rank = 0
-        for i, (d, sc) in enumerate(merged):
-            if i in removed:
-                continue
-            rank += 1
-            out_rows.append((qd, rank, d, sc))
-    return pa.table(
-        {
-            "query_docid": pa.array([r[0] for r in out_rows], type=pa.string()),
-            "rank": pa.array([r[1] for r in out_rows], type=pa.int32()),
-            "doc_id": pa.array([r[2] for r in out_rows], type=pa.string()),
-            "score": pa.array([r[3] for r in out_rows], type=pa.float64()),
-        }
-    )
-
-
-def _engine_run(sf_dir: str, k: int = 10):
-    """BM25 top-k over the built index for the benchmark query set. The
-    float32 Lucene-parity actor-pool path (Searcher.batch_search) runs
-    first — its ranking feeds entry()/bench — and the reported table is the
-    float64 oracle-grade rescoring of the same index (see
-    _exhaustive_f64_topk), which cross-asserts the f32 docid sets."""
-    from anserini_ray.pipelines.simple import SIMPLE_QUERIES
-    from anserini_ray.search import Searcher
-
-    index_dir = _ensure_index(sf_dir)
-    searcher = Searcher(index_dir, num_actors=4)
-    searcher.batch_search([(q, t) for q, t in SIMPLE_QUERIES], k=k)
-    return _exhaustive_f64_topk(sf_dir, "bm25", k=k)
+        runs.append((qd, [(float(hits - i), d) for i, d in enumerate(ranked)
+                          if i not in removed]))
+    return _run_table(runs, "query_docid", "string")
 
 
 def _index_term_stats(sf_dir: str):
@@ -861,10 +627,7 @@ def _ann_fake_words(sf_dir: str, k: int = 5):
     postings/df/byte4 norms under (round4 desc, docid asc) ranking — the
     DuckDB mirror reproduces the int(v*80) quantization, byte4 dl and the
     ClassicSimilarity formula; the f32 engine path is cross-asserted."""
-    import math
-
     import numpy as np
-    import pyarrow as pa
     import ray.data
 
     from anserini_ray.pipelines.training_data import _query_vectors
@@ -879,53 +642,29 @@ def _ann_fake_words(sf_dir: str, k: int = 5):
         build_fake_words_index(ds, index_dir, input_files=files)
     s = LocalSearcher(index_dir, similarity="classic")
     N = s.manifest.doc_count
-    out_rows = []
+
+    def classic(term, cnt, tf, dl):
+        idf = 1.0 + math.log(N / (s._global_df(term) + 1.0))
+        return cnt * np.sqrt(tf) * idf * idf / np.sqrt(np.maximum(dl, 1.0))
+
+    runs = []
     for qi, vec in enumerate(_query_vectors(sf_dir)):
         qtext = fake_words_text(vec)
-        scores: dict[str, float] = {}
-        for term, cnt in s._clauses(qtext):
-            gdf = s._global_df(term)
-            if gdf <= 0:
-                continue
-            idf = 1.0 + math.log(N / (gdf + 1.0))
-            for r in s.readers:
-                post = r.postings(term)
-                if post is None:
-                    continue
-                ords, tfs = post
-                qdl = np.maximum(
-                    r.score_dl_lucene[ords].astype(np.float64), 1.0
-                )
-                contrib = (
-                    cnt * np.sqrt(tfs.astype(np.float64)) * idf * idf
-                    / np.sqrt(qdl)
-                )
-                for d, c in zip(
-                    r.doc_id_strings(r.dense_of_raw(ords)), contrib
-                ):
-                    scores[d] = scores.get(d, 0.0) + float(c)
-        cands = sorted(
-            ((round(sc, 4), d) for d, sc in scores.items()),
-            key=lambda x: (-x[0], x[1]),
-        )[:k]
+        scores = _accumulate(s, s._clauses(qtext), classic)
+        cands = _topk(scores, k)
         if cands:
             f32_docs, _ = s.search(qtext, k=k, adjust_ties=False)
             _assert_f32_consistent(f32_docs, scores, cands, f"fw q{qi}")
-        for rank, (sc, d) in enumerate(cands):
-            out_rows.append((qi, rank + 1, d, sc))
-    return pa.table(
-        {
-            "query_idx": pa.array([r[0] for r in out_rows], type=pa.int32()),
-            "rank": pa.array([r[1] for r in out_rows], type=pa.int32()),
-            "doc_id": pa.array([r[2] for r in out_rows], type=pa.string()),
-            "score": pa.array([r[3] for r in out_rows], type=pa.float64()),
-        }
-    )
+        runs.append((qi, cands))
+    return _run_table(runs, "query_idx")
 
 
 def _slr_topk(sf_dir: str):
     """Sparse-latent retrieval (the fork's signature subsystem) over the
-    embeddings table treated as sparse activations (negatives clipped)."""
+    embeddings table treated as sparse activations (negatives clipped).
+    Scores are recomputed in float64 from the index's own postings
+    (quantized tfs) and ranked (round4 desc, docid asc) like the SQL; the
+    f32 engine path is cross-asserted."""
     import numpy as np
     import pyarrow as pa
     import ray.data
@@ -972,49 +711,21 @@ def _slr_topk(sf_dir: str):
         analyzer_config={"type": "slr", "precision": 2},
     )
     k = 5
-    qids, ranks, docs, out_scores = [], [], [], []
+    runs = []
     for qi, vec in enumerate(_query_vectors(sf_dir)):
         qtext = " ".join(f"{v:.4f}" for v in np.maximum(vec, 0.0))
-        # float64 oracle-grade rescoring from the index's own postings
-        # (quantized tfs), ranked (round4 desc, docid asc) like the SQL
-        scores: dict[str, float] = {}
-        for i, raw in enumerate(qtext.split()):
-            v = float(raw)
-            if v == 0.0:
-                continue
-            term = str(i).zfill(5)
-            for r in s.readers:
-                post = r.postings(term)
-                if post is None:
-                    continue
-                ords, tfs = post
-                contrib = v * tfs.astype("float64") / 100.0
-                for d, c in zip(
-                    r.doc_id_strings(r.dense_of_raw(ords)), contrib
-                ):
-                    scores[d] = scores.get(d, 0.0) + float(c)
-        cands = sorted(
-            ((round(sc, 4), d) for d, sc in scores.items()),
-            key=lambda x: (-x[0], x[1]),
-        )[:k]
+        weighted = [
+            (str(i).zfill(5), float(raw))
+            for i, raw in enumerate(qtext.split())
+            if float(raw) != 0.0
+        ]
+        scores = _accumulate(s, weighted, lambda t, v, tf, dl: v * tf / 100.0)
+        cands = _topk(scores, k)
         if cands:  # cross-check the f32 engine path on the same index
             f32_docs, _ = s.search_slr(qtext, k=k, adjust_ties=False)
             _assert_f32_consistent(f32_docs, scores, cands, f"slr q{qi}")
-        for rank, (sc, d) in enumerate(cands):
-            qids.append(qi)
-            ranks.append(rank + 1)
-            docs.append(d)
-            out_scores.append(sc)
-    import pyarrow as pa
-
-    return pa.table(
-        {
-            "query_idx": pa.array(qids, type=pa.int32()),
-            "rank": pa.array(ranks, type=pa.int32()),
-            "doc_id": pa.array(docs, type=pa.string()),
-            "score": pa.array(out_scores, type=pa.float64()),
-        }
-    )
+        runs.append((qi, cands))
+    return _run_table(runs, "query_idx")
 
 
 _LTR_ROUND4 = ("bm25",)
@@ -1033,9 +744,7 @@ def _ltr_pairs_f64(s, k: int):
 
     qids, qtexts, docids = [], [], []
     for qid, text in SIMPLE_QUERIES:
-        first = {d: round(sc, 4) for d, sc in _bm25_f64_scores(s, text).items()}
-        top = sorted(first.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
-        for di, _ in top:
+        for _, di in _topk(_bm25_f64(s, s._clauses(text)), k):
             qids.append(qid)
             qtexts.append(text)
             docids.append(di)
@@ -1108,9 +817,7 @@ def _ltr_training_data(sf_dir: str):
     s = LocalSearcher(index_dir)
     lines = []
     for qid, text in SIMPLE_QUERIES:
-        first = {d: round(sc, 4) for d, sc in _bm25_f64_scores(s, text).items()}
-        top = sorted(first.items(), key=lambda kv: (-kv[1], kv[0]))[:8]
-        for di, _ in top:
+        for _, di in _topk(_bm25_f64(s, s._clauses(text)), 8):
             turn = int(di.rsplit(":", 1)[1])
             lines.append(f"{qid} 0 {di} {turn % 2}")
     tag = hashlib.sha1(f"{sf_dir}|qrels".encode()).hexdigest()[:12]
@@ -1136,7 +843,7 @@ def _ltr_training_data(sf_dir: str):
 
 
 def entry() -> Any:
-    return _engine_run(_DEF_SF)
+    return _exhaustive_f64_topk(_DEF_SF, "bm25")
 
 
 def queries() -> dict[str, Callable[[str], Any]]:
@@ -1154,7 +861,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "bm25_topk_simple": S.bm25_topk_simple,
         "qld_topk_simple": S.qld_topk_simple,
         # --- engine-internal (verified vs brute-force oracle in tests/) ---
-        "bm25_topk_engine": _engine_run,
+        "bm25_topk_engine": lambda sf: _exhaustive_f64_topk(sf, "bm25"),
         "index_term_stats": _index_term_stats,
         # --- training-data ops (SQL-checkable) ---
         "exact_dedup": TD.exact_dedup,

@@ -494,8 +494,8 @@ def index_top_df_terms_sql(k: int = 100) -> str:
 def bm25_topk_engine_sql(queries=SIMPLE_QUERIES, k: int = BM25_TOPK) -> str:
     """BM25 (k1=0.9 b=0.4) over ANALYZED terms with byte4-quantized doc
     lengths — the float64 mirror of the engine's scoring semantics
-    (`search/bm25.py` "lucene" mode; see __ray_entry__._engine_run for the
-    float64 contract)."""
+    (`search/bm25.py` "lucene" mode; see
+    __ray_entry__._exhaustive_f64_topk for the float64 contract)."""
     values = analyzed_query_clause_values(queries)
     return _with_transcripts(
         _ATOKS_CTE

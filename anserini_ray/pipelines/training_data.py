@@ -496,7 +496,7 @@ def media_probe(sf_dir: str, k: int = 60):
     h=8+id%7, 1+id%3 frames),
     ==1 -> baseline JPEG (same dims), ==2 -> PCM WAV (8 kHz,
     1000+(id%5)*500 samples), ==3 -> MP4 (library muxer, same dims,
-    3+id%4 samples at 40 ms) — ENCODED with the stdlib codecs
+    3+id%5 samples at 40 ms) — ENCODED with the stdlib codecs
     (stages/gif.py, jpeg.py, codecs.py, media_meta.mux_mp4) and probed
     back header-only by the MediaMetadata actor-pool stage. Every output
     field is therefore SQL-predictable, so the driver's value hash

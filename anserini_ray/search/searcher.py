@@ -988,15 +988,7 @@ class LocalSearcher:
                 continue
             if v != 0.0:
                 clauses.append((str(i).zfill(5), v))
-        if not clauses:
-            return [], np.array([], dtype=np.float32)
-        per_seg = [self._segment_topk(r, clauses, k) for r in self.readers]
-        hits = _merge_ranked(per_seg, k)
-        docids = [h[0] for h in hits]
-        scores = np.array([h[1] for h in hits], dtype=np.float32)
-        if adjust_ties:
-            scores = adjust_score_ties(scores)
-        return docids, scores
+        return self.search_weighted(clauses, k, adjust_ties)
 
     def search_bm25prf(
         self,

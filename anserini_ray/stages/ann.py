@@ -216,6 +216,8 @@ def embedding_cosine_near_dup(
     within buckets (vectors shuffle only bucket keys + ids; exact verify
     re-reads candidate vectors via broadcast id-set filter)."""
     probe = ds.take(1)
+    if not probe:  # no vectors: no pairs
+        return ray.data.from_items([])
     dim = len(probe[0][vec_col])
     planes = [_srp_planes(dim, n_bits, seed=211 + t) for t in range(n_tables)]
     p_ref = ray.put(planes)

@@ -710,8 +710,11 @@ PAIR_BROADCAST_LIMIT = 2_000_000  # candidate pairs under this -> broadcast
 PAIR_BROADCAST_BYTES_LIMIT = 2 << 30  # ... and candidate payloads under 2 GiB
 
 
-def _arrow_schema(ds) -> pa.Schema:
+def _arrow_schema(ds) -> pa.Schema | None:
+    """The Arrow schema of ds; None when ds has no rows and reports none."""
     sch = ds.schema()
+    if sch is None:
+        return None
     base = getattr(sch, "base_schema", None)
     if isinstance(base, pa.Schema):
         return base
@@ -782,8 +785,11 @@ def distinct_pairs_from_groups(groups, ids_col: str, max_group_size: int | None)
             names=["doc_a", "doc_b"],
         )
 
+    sch = _arrow_schema(groups)
+    if sch is None:  # no bucket rows at all: no pairs
+        return groups
     exploded = groups.map_batches(emit, batch_format="pyarrow")
-    id_type = _arrow_schema(groups).field(ids_col).type.value_type
+    id_type = sch.field(ids_col).type.value_type
     pair_schema = pa.schema([("doc_a", id_type), ("doc_b", id_type)])
     # dedupe pairs seen in multiple buckets: one groupby on the pair key
     return _normalize_empty_blocks(
@@ -805,18 +811,9 @@ def attach_pair_payloads(pairs, payload_ds):
     pairs = pairs.materialize()
     n_pairs = pairs.count()
     if n_pairs == 0:
-        sch = payload_ds.schema()
-        ptype = sch.field("payload").type
-        empty = pa.Table.from_arrays(
-            [
-                pa.array([], type=sch.field("pid").type),
-                pa.array([], type=sch.field("pid").type),
-                pa.array([], type=ptype),
-                pa.array([], type=ptype),
-            ],
-            names=["doc_a", "doc_b", "payload_a", "payload_b"],
-        )
-        return ray.data.from_arrow(empty)
+        # nothing to attach; map_batches hands no zero-row block to the
+        # callers' verify functions, so their result is empty too
+        return pairs
     if n_pairs <= PAIR_BROADCAST_LIMIT:
         cand = frozenset(pairs.unique("doc_a")) | frozenset(pairs.unique("doc_b"))
         cand_ref = ray.put(cand)

@@ -495,16 +495,19 @@ def _probe_media(payload: bytes, out: dict) -> dict:
                        n_units=t.get("n_samples"))
         return out
     if payload[:4] == b"RIFF" and payload[8:12] == b"WAVE":
-        i, n = 12, len(payload)
+        i, n, align = 12, len(payload), 0
         while i + 8 <= n:
             cid = payload[i : i + 4]
             (clen,) = struct.unpack_from("<I", payload, i + 4)
             if cid == b"fmt ":
-                _, ch, sr = struct.unpack_from("<HHI", payload, i + 8)
+                # block_align = bytes per sample frame, all channels
+                _, ch, sr, _, align = struct.unpack_from(
+                    "<HHIIH", payload, i + 8
+                )
                 out.update(kind="audio", container="wav", codec="pcm",
                            sample_rate=sr, channels=ch)
-            elif cid == b"data" and out["sample_rate"]:
-                nsamp = clen // (2 * (out["channels"] or 1))
+            elif cid == b"data" and out["sample_rate"] and align:
+                nsamp = clen // align
                 out["n_units"] = nsamp
                 out["duration_s"] = nsamp / out["sample_rate"]
             i += 8 + clen + (clen & 1)

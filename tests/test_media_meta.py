@@ -275,3 +275,35 @@ def test_media_metadata_stage_over_mixed_batch(ray_session):
         pytest.approx(0.5)
     assert by_id[3]["kind"] == "image" and by_id[3]["width"] == 11
     assert by_id[4]["kind"] is None
+
+
+@pytest.mark.parametrize(
+    "sampwidth,channels,rate,nframes",
+    [(1, 1, 8000, 1234), (3, 2, 16000, 700)],
+)
+def test_probe_wav_sample_count_follows_block_align(
+    tmp_path, sampwidth, channels, rate, nframes
+):
+    """8-bit mono and 24-bit stereo WAVs written by the stdlib wave module
+    report their true frame count and duration; a fmt chunk with
+    block_align 0 leaves both unset."""
+    import wave
+
+    path = tmp_path / "a.wav"
+    with wave.open(str(path), "wb") as w:
+        w.setnchannels(channels)
+        w.setsampwidth(sampwidth)
+        w.setframerate(rate)
+        w.writeframes(b"\x00" * (nframes * channels * sampwidth))
+    payload = path.read_bytes()
+    p = M.probe_media(payload)
+    assert (p["kind"], p["codec"], p["sample_rate"], p["channels"]) == (
+        "audio", "pcm", rate, channels)
+    assert p["n_units"] == nframes
+    assert p["duration_s"] == pytest.approx(nframes / rate)
+
+    fmt = payload.index(b"fmt ")
+    zeroed = payload[: fmt + 20] + b"\x00\x00" + payload[fmt + 22 :]
+    p = M.probe_media(zeroed)
+    assert (p["sample_rate"], p["n_units"], p["duration_s"]) == (
+        rate, None, None)
