@@ -122,7 +122,7 @@ def _accumulate(s, weighted, contrib) -> dict[str, float]:
                 term, w, tfs.astype(np.float64),
                 r.score_dl_lucene[ords].astype(np.float64),
             )
-            for d, c in zip(r.doc_id_strings(r.dense_of_raw(ords)), add):
+            for d, c in zip(r.doc_id_strings(ords), add):
                 scores[d] = scores.get(d, 0.0) + float(c)
     return scores
 
@@ -388,9 +388,7 @@ def _axiom_topk(sf_dir: str, k: int = 10, beta: float = 0.4,
             post = r.postings(term)
             if post is None:
                 continue
-            docs = frozenset(
-                r.doc_id_strings(r.dense_of_raw(post[0]))
-            )
+            docs = frozenset(r.doc_id_strings(post[0]))
             inv[term] = frozenset(inv.get(term, frozenset()) | docs)
             union |= docs
     total = len(union)
@@ -521,8 +519,7 @@ def _sdm_topk(sf_dir: str, k: int = 10, term_weight: float = 0.85,
                                 break
                     if fo <= 0 and fu <= 0:
                         continue
-                    raw = int(r.dense_of_raw(np.array([dord]))[0])
-                    docid = r.doc_id_strings(np.array([raw]))[0]
+                    docid = r.doc_id_strings(np.array([dord]))[0]
                     denom = _bm25_norm(s, float(r.score_dl_lucene[dord]))
                     add = 0.0
                     if fo > 0:

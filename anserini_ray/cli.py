@@ -261,9 +261,12 @@ def cmd_search(argv) -> int:
         (s for s in ("qld", "qljm", "inl2", "spl", "f2exp", "f2log") if getattr(a, s)),
         "bm25",
     )
+    # -searchtweets: tweet analyzer, and score ties broken by tweet id
+    # DESC (SearchCollection.searchTweets, BREAK_SCORE_TIES_BY_TWEETID)
     analyzer = {"type": "tweet"} if a.searchtweets else None
     s = LocalSearcher(
-        a.index, k1=a.k1, b=a.b, similarity=sim, analyzer_config=analyzer
+        a.index, k1=a.k1, b=a.b, similarity=sim, analyzer_config=analyzer,
+        tie_break="tweetid" if a.searchtweets else "docid",
     )
     lines = []
     for qid, text in topics:

@@ -116,10 +116,10 @@ REPETITION_STATS_SQL = """
 
 # -------------------------------------------------------- PII redaction
 def pii_redact(sf_dir: str):
-    """Email/IPv4/phone redaction + counts (stages/text_stats.PiiRedact —
-    actor-pool stage; patterns compile once per worker)."""
+    """Email/IPv4/phone redaction + counts (stages/text_stats.PiiRedact as
+    a task map; patterns compile once per worker process)."""
     return _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        T.PiiRedact, batch_format="pyarrow", concurrency=2
+        T.pii_redact_batch, batch_format="pyarrow"
     )
 
 
@@ -333,9 +333,7 @@ def token_counts_analyzed(sf_dir: str):
     and stopword removal is an IN-list filter — so analyzed_tokens ==
     count of tokens outside Lucene's 33-word English stop set."""
     ds = _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        T.TokenCounter,
-        batch_format="pyarrow",
-        concurrency=(1, 8),
+        T.token_count_batch, batch_format="pyarrow"
     )
     return ds.drop_columns(["text"])
 

@@ -4,9 +4,10 @@ Two variants, matching the reference exactly:
 
 - "lucene": stock Lucene 8 `BM25Similarity` (the reference default,
   `SearchCollection.java:284-290`, k1=0.9 b=0.4 per `SearchArgs.java:115-119`).
-  Doc length is the lossy byte4-quantized norm; scoring precomputes a
-  256-entry cache ``k1 * ((1-b) + b * LENGTH_TABLE[j] / avgdl)`` in float32,
-  then ``score = weight * (float)(freq / (freq + (double) cache[norm]))``.
+  Doc length is the lossy byte4-quantized norm (the reader's
+  ``score_dl_lucene``); per posting, ``norm = k1 * ((1-b) + b * dl / avgdl)``
+  in float32 — the value of Lucene's 256-entry cache entry for that byte —
+  then ``score = weight * (float)(freq / (freq + (double) norm))``.
 - "accurate": the reference's `AccurateBM25Similarity.java:120-148`
   (`-bm25.accurate`): exact integer dl;
   ``wf = weight*freq; denom = freq + k1*(1-b) + (k1*b/avgdl)*dl; wf/denom``
@@ -25,8 +26,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-from .norms import LENGTH_TABLE
 
 F = np.float32
 
@@ -54,32 +53,24 @@ class BM25Params:
         # no terms at all (zero docs, or only empty docs): Lucene's
         # fallback avgdl of 1, which no posting is ever scored with
         self.avgdl = F(sum_total_tf / doc_count) if sum_total_tf > 0 else F(1)
-        if mode == "lucene":
-            # float32 op order identical to BM25Similarity.scorer()
-            self.cache = self.k1 * (
-                (F(1) - self.b) + self.b * LENGTH_TABLE / self.avgdl
-            )
-        elif mode == "accurate":
+        if mode == "accurate":
             self.mult_k1_minus_b = self.k1 * (F(1) - self.b)
             self.mult_k1_b_inv_avgdl = self.k1 * self.b / max(F(1e-10), self.avgdl)
-        else:
+        elif mode != "lucene":
             raise ValueError(f"unknown BM25 mode {mode!r}")
 
     def score_postings(
-        self,
-        weight: np.float32,
-        tfs: np.ndarray,
-        dl_f32: np.ndarray,
-        norm_bytes: np.ndarray | None = None,
+        self, weight: np.float32, tfs: np.ndarray, dl_f32: np.ndarray
     ) -> np.ndarray:
         """Vectorized per-posting scores for one term clause.
 
         For mode "lucene", dl_f32 must be the byte4-QUANTIZED doc lengths
-        (LENGTH_TABLE round-trip) of the posting docs; for "accurate", the
+        (byte4 round-trip) of the posting docs; for "accurate", the
         exact lengths. Returns float32 contributions."""
         freq = tfs.astype(np.float32)
         if self.mode == "lucene":
-            # norm = (double) cache[byte]; freq/(freq+norm) in double, cast f32
+            # norm = the float32 cache value of the doc's byte, op order of
+            # BM25Similarity.scorer(); freq/(freq+norm) in double, cast f32
             norm = self.k1 * ((F(1) - self.b) + self.b * dl_f32 / self.avgdl)
             ratio = (freq.astype(np.float64) / (freq.astype(np.float64) + norm.astype(np.float64))).astype(np.float32)
             return weight * ratio

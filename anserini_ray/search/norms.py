@@ -2,7 +2,7 @@
 
 Stock Lucene `BM25Similarity` does not see exact doc lengths at query time:
 `computeNorm` stores `SmallFloat.intToByte4(numTerms)` — a lossy monotone
-1-byte encoding — and scoring decodes it through a 256-entry LENGTH_TABLE.
+1-byte encoding — and scoring decodes it through a 256-entry length table.
 The reference keeps that default (its `-bm25.accurate` flag +
 `AccurateBM25Similarity.java:57-65` exists precisely to bypass it, storing
 the exact token count). We implement both:
@@ -64,9 +64,6 @@ def byte4_to_int(b: int) -> int:
     return _NUM_FREE_VALUES + _int4_to_long(b - _NUM_FREE_VALUES)
 
 
-# LENGTH_TABLE exactly as BM25Similarity builds it.
-LENGTH_TABLE = np.array([byte4_to_int(i) for i in range(256)], dtype=np.float32)
-
 # Monotone decode-of-encode lookup for dl values, precomputed for the common
 # small range; larger values fall back to the scalar path.
 _QUANT_CACHE_SIZE = 1 << 16
@@ -88,13 +85,4 @@ def quantize_lengths(dl: np.ndarray) -> np.ndarray:
     if dl.size and int(dl.max()) >= _QUANT_CACHE_SIZE:
         for i in np.flatnonzero(dl >= _QUANT_CACHE_SIZE):
             out[i] = byte4_to_int(int_to_byte4(int(dl[i])))
-    return out
-
-
-def encode_norm_bytes(dl: np.ndarray) -> np.ndarray:
-    """Vectorized intToByte4 over doc lengths -> uint8 norm bytes."""
-    dl = np.asarray(dl, dtype=np.int64)
-    out = np.empty(dl.shape, dtype=np.uint8)
-    for i, v in enumerate(dl.tolist()):
-        out[i] = int_to_byte4(v)
     return out

@@ -8,25 +8,38 @@ Execution shapes (reference analogs in parens):
   ``SearcherStage`` map_batches class.
 - ``Searcher`` — the serving facade (`SimpleSearcher.java:119-365`): spawns
   one ``@ray.remote`` segment-group actor per group, broadcasts queries,
-  k-way merges per-segment top-k with (score desc, docid asc) tie-break
-  (`BREAK_SCORE_TIES_BY_DOCID`, `SearchCollection.java:115-116`), applies
-  the ties-adjust cascade and returns ranked results / TREC run lines.
-  Raw actors (not Dataset) because a shared read-only serving index is
-  exactly the state the Dataset API cannot express.
+  and merges the actors' per-segment top-k through the same tail as
+  ``LocalSearcher``. Raw actors (not Dataset) because a shared read-only
+  serving index is exactly the state the Dataset API cannot express.
 - ``SearcherStage`` — a callable class for
   ``queries_ds.map_batches(SearcherStage, concurrency=N, ...)``: the batch
   path for query *datasets* (reference analog: `SearchCollection.runTopics`
   thread pool, `SearchCollection.java:428-444`).
 
-Scoring: term-at-a-time, fully vectorized per term over a dense float32
-accumulator (segment-bounded memory). Optional MaxScore/block-max pruning
-("pruned" mode) decodes only impact blocks that can matter; it is
-score-exact for the top-k and verified against the exhaustive path.
+Every query mode scores on one path, as every reference query generator
+feeds one `IndexSearcher.search(query, k, Sort)`:
+
+1. ``_scorers`` builds the query's term scorers once from the global
+   termstats: ``(term, fn)`` pairs, ``fn(tfs, dl)`` giving a posting list's
+   float32 contributions (bag-of-words, weighted, SDM-unigram and BM25PRF
+   weights; other similarities' ``term_scorer``).
+2. ``_accumulate`` adds them term-at-a-time into a dense float32
+   per-segment accumulator (segment-bounded memory). SDM then adds its span
+   frequencies, phrase search scores only its positional matches, and the
+   optional MaxScore/block-max pruning ("pruned" mode) decodes only impact
+   blocks that can matter — score-exact for the top-k and verified against
+   the exhaustive path.
+3. ``_rank`` takes each segment's top-k by (score desc, docid tie key).
+4. ``_ranked`` merges the segments, makes the float32 score array and
+   applies the ties-adjust cascade, with (score desc, docid asc) order
+   (`BREAK_SCORE_TIES_BY_DOCID`, `SearchCollection.java:115-116`) or the
+   tweet-id order.
 """
 
 from __future__ import annotations
 
-import os
+import functools
+from collections import Counter
 from typing import Sequence
 
 import numpy as np
@@ -49,6 +62,17 @@ def _merge_ranked(per_segment: list[list[tuple[str, float]]], k: int,
     allhits = [h for seg in per_segment for h in seg]
     allhits.sort(key=lambda h: (-h[1], key(h[0])))
     return allhits[:k]
+
+
+def _ranked(per_segment, k: int, adjust_ties: bool, key=None):
+    """The result tail of every query mode: merge the per-segment top-k
+    lists, make the float32 score array, apply the ties-adjust cascade."""
+    hits = _merge_ranked(per_segment, k, key)
+    docids = [h[0] for h in hits]
+    scores = np.array([h[1] for h in hits], dtype=np.float32)
+    if adjust_ties:
+        scores = adjust_score_ties(scores)
+    return docids, scores
 
 
 class LocalSearcher:
@@ -125,39 +149,59 @@ class LocalSearcher:
     def _clauses(self, query_text: str) -> list[tuple[str, int]]:
         """Analyzed unique terms in first-occurrence order with occurrence
         counts (duplicate tokens add clauses: BagOfWordsQueryGenerator)."""
-        tokens = self.analyzer.analyze(query_text)
-        counts: dict[str, int] = {}
-        for t in tokens:
-            counts[t] = counts.get(t, 0) + 1
-        return list(counts.items())
+        return list(Counter(self.analyzer.analyze(query_text)).items())
 
-    def _segment_topk(
-        self, reader: SegmentReader, clauses, k: int, ts_range: tuple | None = None
-    ) -> list[tuple[str, float]]:
+    def _dl(self, reader: SegmentReader) -> np.ndarray:
+        """The doc lengths this searcher's BM25 mode scores with."""
+        return (reader.score_dl_lucene if self.mode == "lucene"
+                else reader.score_dl_accurate)
+
+    def _scorers(self, clauses, params: BM25Params | None = None,
+                 with_idf: bool = True) -> list[tuple]:
+        """The query's term scorers, built once from the global termstats:
+        one (term, fn) per (term, count-or-boost) clause whose global df is
+        > 0, in clause order; fn(tfs, dl) gives the float32 contributions of
+        the term's postings. Under BM25 the term weight is
+        ``F(boost) * idf(gdf, N)`` (``F(boost)`` alone without idf, as
+        BM25PrfSimilarity); params forces BM25 under those parameters,
+        otherwise the searcher's own similarity scores."""
         N = self.params.doc_count
-        dl = (reader.score_dl_lucene if self.mode == "lucene"
-              else reader.score_dl_accurate)
+        bm25 = params or (self.params if self.similarity == "bm25" else None)
+        out = []
+        for term, cnt in clauses:
+            gdf = self.global_df.get(term, 0)
+            if gdf <= 0:
+                continue
+            if bm25 is None:
+                fn = self.sim.term_scorer(
+                    cnt, gdf, self.global_cf.get(term, 0), self.cstats
+                )
+            else:
+                w = F(cnt) * idf(gdf, N) if with_idf else F(cnt)
+                fn = functools.partial(bm25.score_postings, w)
+            out.append((term, fn))
+        return out
+
+    def _accumulate(self, reader: SegmentReader, scorers):
+        """Add every scorer's posting contributions, term by term, into a
+        dense float32 accumulator over the segment's local ordinals.
+        Returns (acc, touched)."""
+        dl = self._dl(reader)
         acc = np.zeros(reader.local_span, dtype=np.float32)
         touched = np.zeros(reader.local_span, dtype=bool)
-        bm25 = self.similarity == "bm25"
-        for term, cnt in clauses:
+        for term, fn in scorers:
             post = reader.postings(term)
             if post is None:
                 continue
-            gdf = reader.global_df.get(term, 0)
-            if gdf <= 0:
-                continue
             ords, tfs = post
-            if bm25:
-                w = F(cnt) * idf(gdf, N)  # cnt: int occurrence count OR float boost
-                contrib = self.params.score_postings(w, tfs, dl[ords])
-            else:
-                fn = self.sim.term_scorer(
-                    cnt, gdf, reader.global_cf.get(term, 0), self.cstats
-                )
-                contrib = fn(tfs, dl[ords])
-            acc[ords] += contrib
+            acc[ords] += fn(tfs, dl[ords])
             touched[ords] = True
+        return acc, touched
+
+    def _segment_topk(
+        self, reader: SegmentReader, scorers, k: int, ts_range: tuple | None = None
+    ) -> list[tuple[str, float]]:
+        acc, touched = self._accumulate(reader, scorers)
         cand = np.flatnonzero(touched)
         if ts_range is not None and cand.size:
             if reader.score_ts is None:
@@ -168,13 +212,10 @@ class LocalSearcher:
             lo, hi = ts_range
             tsv = reader.score_ts[cand]
             cand = cand[(tsv >= lo) & (tsv <= hi)]
-        if cand.size == 0:
-            return []
-        scores = acc[cand]
-        return self._rank(reader, cand, scores, k)
+        return self._rank(reader, cand, acc[cand], k)
 
     def _segment_topk_pruned(
-        self, reader: SegmentReader, clauses, k: int
+        self, reader: SegmentReader, scorers, k: int
     ) -> list[tuple[str, float]]:
         """MaxScore-style two-phase scoring with block-max refinement.
 
@@ -182,53 +223,45 @@ class LocalSearcher:
         to reach the current top-k) exhaustively; non-essential terms are
         scored only for candidate docs, decoding only the impact blocks that
         contain candidates. Exact: a doc absent from every essential posting
-        list cannot reach the top-k by the upper-bound argument."""
-        N = self.params.doc_count
-        params = self.params
-        dl = (reader.score_dl_lucene if self.mode == "lucene"
-              else reader.score_dl_accurate)
+        list cannot reach the top-k by the upper-bound argument, which needs
+        non-negative term weights (negative boosts score exhaustively)."""
+        dl = self._dl(reader)
         info = []
-        for term, cnt in clauses:
+        for i, (term, fn) in enumerate(scorers):
             if not reader.has_term(term):
                 continue
-            gdf = reader.global_df.get(term, 0)
-            if gdf <= 0:
-                continue
-            w = F(cnt) * idf(gdf, N)
-            max_tf = reader.max_tf(term)
             # upper bound: max tf, minimal dl=0 → tf/(tf + k1(1-b)) * w
-            ub = float(
-                params.score_postings(
-                    w, np.array([max_tf]), np.zeros(1, dtype=np.float32)
-                )[0]
-            )
-            info.append((term, w, ub, reader.df(term)))
+            ub = float(fn(np.array([reader.max_tf(term)]),
+                          np.zeros(1, dtype=np.float32))[0])
+            info.append((i, term, fn, ub))
         if not info:
             return []
+        if min(x[3] for x in info) < 0:
+            return self._segment_topk(reader, scorers, k)
         # essential = large upper bounds first; keep until the remaining
         # bounds could not by themselves produce a top-k doc. With no
         # threshold known up-front, a safe heuristic: terms are essential
         # unless rarely discriminative; we take essential = all terms whose
         # cumulative tail UB >= smallest... simplest exact choice: essential
         # = the ceil(len/2) highest-UB terms, then verify via bound check.
-        by_ub = sorted(info, key=lambda x: -x[2])
+        by_ub = sorted(info, key=lambda x: -x[3])
         acc = np.zeros(reader.local_span, dtype=np.float32)
         touched = np.zeros(reader.local_span, dtype=bool)
         n_ess = max(1, len(by_ub) - _count_prunable(by_ub, k))
         essential, rest = by_ub[:n_ess], by_ub[n_ess:]
-        term_data: dict[str, tuple] = {}
-        for term, w, ub, df in essential:
+        term_data: dict[int, tuple] = {}
+        for i, term, fn, ub in essential:
             ords, tfs = reader.postings(term)
-            term_data[term] = (ords, tfs, w)
-            acc[ords] += params.score_postings(w, tfs, dl[ords])
+            term_data[i] = (ords, tfs)
+            acc[ords] += fn(tfs, dl[ords])
             touched[ords] = True
         cand = np.flatnonzero(touched)
         if cand.size == 0:
             return []
         if rest:
             rest_ub = F(0)
-            for _, _, ub, _ in rest:
-                rest_ub += F(ub)
+            for x in rest:
+                rest_ub += F(x[3])
             # threshold: kth best partial; docs outside cand can score at
             # most rest_ub (their essential partial is 0). Pruning them is
             # exact only when rest_ub < kth — otherwise fall back to the
@@ -239,8 +272,8 @@ class LocalSearcher:
             else:
                 kth = F(-np.inf)
             if not (rest_ub < kth):
-                return self._segment_topk(reader, clauses, k)
-            for term, w, ub, df in rest:
+                return self._segment_topk(reader, scorers, k)
+            for i, term, fn, ub in rest:
                 meta = reader.block_meta(term)
                 bf = meta[0]
                 # decode only blocks whose ord range contains a candidate
@@ -259,11 +292,11 @@ class LocalSearcher:
                     ords, tfs = reader.postings(term)
                 else:
                     ords, tfs = reader.decode_blocks(term, chosen, meta)
-                term_data[term] = (ords, tfs, w)
+                term_data[i] = (ords, tfs)
                 mask = touched[ords]
                 o2, t2 = ords[mask], tfs[mask]
                 if o2.size:
-                    acc[o2] += params.score_postings(w, t2, dl[o2])
+                    acc[o2] += fn(t2, dl[o2])
         # Final-candidate selection on phase scores (which may differ from the
         # exhaustive float32 sums by a few ulps because accumulation order was
         # UB-sorted), with a tie-safe margin …
@@ -275,21 +308,23 @@ class LocalSearcher:
         # … then an exact clause-order float32 rescore of just those
         # candidates, bit-identical to the exhaustive path.
         acc2 = np.zeros(cand.size, dtype=np.float32)
-        for term, cnt in clauses:
-            data = term_data.get(term)
+        for i, (term, fn) in enumerate(scorers):
+            data = term_data.get(i)
             if data is None:
                 continue
-            ords, tfs, w = data
+            ords, tfs = data
             pos = np.searchsorted(ords, cand)
             pos_c = np.minimum(pos, ords.size - 1)
             hit = ords[pos_c] == cand
             if hit.any():
                 sub = pos_c[hit]
-                acc2[hit] += params.score_postings(w, tfs[sub], dl[cand[hit]])
+                acc2[hit] += fn(tfs[sub], dl[cand[hit]])
         return self._rank(reader, cand, acc2, k)
 
     def _rank(self, reader, cand, scores, k):
         """Order candidates by (score desc, docid tie key), take k."""
+        if cand.size == 0:
+            return []
         if cand.size > k:
             part = np.argpartition(-scores, k - 1)
             # include the whole tie group at the boundary
@@ -303,6 +338,21 @@ class LocalSearcher:
         )
         return [(docids[i], float(scores[i])) for i in order[:k]]
 
+    def _hits(self, clauses, k: int, ts_range: tuple | None = None):
+        """Per-segment top-k (docid, score) lists of a bag of weighted
+        clauses: the pre-adjustment hits of `search` and `search_weighted`,
+        and what each serving actor returns. A ts_range filter scores
+        exhaustively."""
+        scorers = self._scorers(clauses)
+        if not scorers:
+            return []
+        return [
+            self._segment_topk_pruned(r, scorers, k)
+            if ts_range is None and self._prune_for(r)
+            else self._segment_topk(r, scorers, k, ts_range)
+            for r in self.readers
+        ]
+
     def search(
         self,
         query_text: str,
@@ -313,27 +363,8 @@ class LocalSearcher:
         """ts_range=(lo_us, hi_us) adds a non-scoring timestamp FILTER over
         doc metadata (reference analog: the tweet LongPoint range clause,
         SearchCollection.java:575-582); requires ts in the index docmap."""
-        clauses = self._clauses(query_text)
-        per_seg = []
-        if clauses:
-            if ts_range is not None:
-                per_seg = [
-                    self._segment_topk(r, clauses, k, ts_range=ts_range)
-                    for r in self.readers
-                ]
-            else:
-                per_seg = [
-                    self._segment_topk_pruned(r, clauses, k)
-                    if self._prune_for(r)
-                    else self._segment_topk(r, clauses, k)
-                    for r in self.readers
-                ]
-        hits = _merge_ranked(per_seg, k, key=self._tie_key)
-        docids = [h[0] for h in hits]
-        scores = np.array([h[1] for h in hits], dtype=np.float32)
-        if adjust_ties:
-            scores = adjust_score_ties(scores)
-        return docids, scores
+        hits = self._hits(self._clauses(query_text), k, ts_range)
+        return _ranked(hits, k, adjust_ties, self._tie_key)
 
     def search_weighted(
         self, term_weights, k: int = DEFAULT_K, adjust_ties: bool = True
@@ -341,16 +372,8 @@ class LocalSearcher:
         """Weighted bag-of-terms query: [(term, boost), ...] — each clause
         scored as boost * similarity(term) (the reference's BoostQuery
         clauses, Rm3Reranker.java:86-90)."""
-        per_seg = [
-            self._segment_topk(r, [(t, w) for t, w in term_weights], k)
-            for r in self.readers
-        ]
-        hits = _merge_ranked(per_seg, k)
-        docids = [h[0] for h in hits]
-        scores = np.array([h[1] for h in hits], dtype=np.float32)
-        if adjust_ties:
-            scores = adjust_score_ties(scores)
-        return docids, scores
+        return _ranked(self._hits(term_weights, k), k, adjust_ties,
+                       self._tie_key)
 
     def document_by_field(self, field: str, value) -> dict | None:
         """First document whose stored FIELD equals value — reference
@@ -481,22 +504,16 @@ class LocalSearcher:
         machinery analog: the reference's SDM span queries,
         `SdmQueryGenerator.java:56-88`.)"""
         terms = self.analyzer.analyze(phrase_text)
-        if not terms:
-            return [], np.array([], dtype=np.float32)
-        N = self.params.doc_count
+        scorers = self._scorers(Counter(terms).items(), self.params)
         SHIFT = np.int64(32)  # (doc_ord, position) -> single int64 key
         per_seg = []
-        for r in self.readers:
+        for r in self.readers if terms else ():
             datas = []
-            ok = True
             for t in terms:
-                p = r.positions(t)
-                if p is None:
-                    ok = False
+                datas.append(r.positions(t))
+                if datas[-1] is None:
                     break
-                datas.append(p)
-            if not ok:
-                per_seg.append([])
+            if datas[-1] is None:
                 continue
             # vectorized phrase walk: keys = doc<<32 | position; advancing a
             # phrase step is ONE sorted intersect of (matched keys + delta)
@@ -518,32 +535,14 @@ class LocalSearcher:
                     cur = np.intersect1d(np.unique(shifted), nxt_keys)
                 if cur.size == 0:
                     break
-            if cur.size == 0:
-                per_seg.append([])
-                continue
             m = np.unique(cur >> SHIFT)
-            dl = (r.score_dl_lucene if self.mode == "lucene"
-                  else r.score_dl_accurate)
+            dl = self._dl(r)
             acc = np.zeros(m.size, dtype=np.float32)
-            counts: dict[str, int] = {}
-            for t in terms:
-                counts[t] = counts.get(t, 0) + 1
-            for t, cnt in counts.items():
+            for t, fn in scorers:
                 ords, tfs, _, _ = datas[terms.index(t)]
-                j = np.searchsorted(ords, m)
-                w = F(cnt) * idf(r.global_df.get(t, 1), N)
-                acc += self.params.score_postings(w, tfs[j], dl[m])
-            docids = r.doc_id_strings(m)
-            order = sorted(range(m.size), key=lambda i: (-acc[i], docids[i]))
-            per_seg.append(
-                [(docids[i], float(acc[i])) for i in order[:k]]
-            )
-        hits = _merge_ranked(per_seg, k)
-        out_ids = [h[0] for h in hits]
-        out_scores = np.array([h[1] for h in hits], dtype=np.float32)
-        if adjust_ties:
-            out_scores = adjust_score_ties(out_scores)
-        return out_ids, out_scores
+                acc += fn(tfs[np.searchsorted(ords, m)], dl[m])
+            per_seg.append(self._rank(r, m, acc, k))
+        return _ranked(per_seg, k, adjust_ties, self._tie_key)
 
     def search_background_linking(
         self,
@@ -592,12 +591,7 @@ class LocalSearcher:
                 p for p in _re.split(r"\n\s*\n", text_provider(query_docid))
                 if p.strip()
             ][:5]
-            token_maps = []
-            for p in paras:
-                counts: dict[str, int] = {}
-                for t in self.analyzer.analyze(p):
-                    counts[t] = counts.get(t, 0) + 1
-                token_maps.append(counts)
+            token_maps = [Counter(self.analyzer.analyze(p)) for p in paras]
         else:
             token_maps = [qvec]
 
@@ -672,14 +666,6 @@ class LocalSearcher:
             if r.segment_id == seg:
                 return r.doc_vector(global_ord - r.base_ord)
         return {}
-
-    def _docid_by_ord(self, global_ord: int) -> str | None:
-        seg = global_ord >> self.manifest.seg_shift
-        for r in self.readers:
-            if r.segment_id == seg:
-                lo = global_ord - r.base_ord
-                return r.doc_id_strings(np.array([lo]))[0]
-        return None
 
     def search_axiom(
         self,
@@ -775,11 +761,8 @@ class LocalSearcher:
                 out += float(p11) * math.log(float(p11) / float(px1 * py1))
             return out
 
-        q_counts: dict[str, int] = {}
-        for t in q_tokens:
-            q_counts[t] = q_counts.get(t, 0) + 1
         agg: dict[str, float] = {}
-        for q_term, qtf in q_counts.items():
+        for q_term, qtf in Counter(q_tokens).items():
             df = self._global_df(q_term)
             if df <= 0 or q_term not in inv:
                 continue
@@ -919,24 +902,13 @@ class LocalSearcher:
 
         # phase 2: score
         w_t, w_o, w_u = F(term_weight), F(ordered_weight), F(unordered_weight)
-        counts: dict[str, int] = {}
-        for t in terms:
-            counts[t] = counts.get(t, 0) + 1
+        unigrams = self._scorers(
+            [(t, w_t * F(c)) for t, c in Counter(terms).items()], self.params
+        )
         per_seg = []
         for r, pc_map in zip(self.readers, seg_pair_counts):
-            dl = (r.score_dl_lucene if self.mode == "lucene"
-                  else r.score_dl_accurate)
-            acc = np.zeros(r.local_span, dtype=np.float32)
-            touched = np.zeros(r.local_span, dtype=bool)
-            for t, cnt in counts.items():
-                post = r.postings(t)
-                gdf = r.global_df.get(t, 0)
-                if post is None or gdf <= 0:
-                    continue
-                ords, tfs = post
-                w = w_t * F(cnt) * idf(gdf, N)
-                acc[ords] += self.params.score_postings(w, tfs, dl[ords])
-                touched[ords] = True
+            dl = self._dl(r)
+            acc, touched = self._accumulate(r, unigrams)
             for pair in pairs:  # duplicates in the query add clauses
                 data = pc_map.get(pair)
                 if data is None:
@@ -959,15 +931,8 @@ class LocalSearcher:
                     )
                     touched[sub] = True
             cand = np.flatnonzero(touched)
-            per_seg.append(
-                self._rank(r, cand, acc[cand], k) if cand.size else []
-            )
-        hits = _merge_ranked(per_seg, k)
-        out_ids = [h[0] for h in hits]
-        out_scores = np.array([h[1] for h in hits], dtype=np.float32)
-        if adjust_ties:
-            out_scores = adjust_score_ties(out_scores)
-        return out_ids, out_scores
+            per_seg.append(self._rank(r, cand, acc[cand], k))
+        return _ranked(per_seg, k, adjust_ties, self._tie_key)
 
     def search_slr(
         self, query_text: str, k: int = DEFAULT_K, adjust_ties: bool = True
@@ -1066,40 +1031,13 @@ class LocalSearcher:
         weights = [(t, rel_weight(*f)) for t, f in pruned.items()]
 
         # second pass: BM25 with idf == 1 at (prf_k1, prf_b)
-        from .bm25 import BM25Params
-
         prf_params = BM25Params(
-            self.manifest.doc_count,
-            self.manifest.sum_total_tf,
-            prf_k1,
-            prf_b,
-            self.mode,
+            self.manifest.doc_count, self.manifest.sum_total_tf,
+            prf_k1, prf_b, self.mode,
         )
-        per_seg = []
-        for r in self.readers:
-            dlv = (r.score_dl_lucene if self.mode == "lucene"
-                   else r.score_dl_accurate)
-            acc = np.zeros(r.local_span, dtype=np.float32)
-            touched = np.zeros(r.local_span, dtype=bool)
-            for term, boost in weights:
-                post = r.postings(term)
-                if post is None:
-                    continue
-                ords, tfs = post
-                acc[ords] += prf_params.score_postings(
-                    F(boost), tfs, dlv[ords]
-                )
-                touched[ords] = True
-            cand = np.flatnonzero(touched)
-            per_seg.append(
-                self._rank(r, cand, acc[cand], k) if cand.size else []
-            )
-        hits = _merge_ranked(per_seg, k)
-        out_ids = [h[0] for h in hits]
-        out_scores = np.array([h[1] for h in hits], dtype=np.float32)
-        if adjust_ties:
-            out_scores = adjust_score_ties(out_scores)
-        return out_ids, out_scores
+        scorers = self._scorers(weights, prf_params, with_idf=False)
+        per_seg = [self._segment_topk(r, scorers, k) for r in self.readers]
+        return _ranked(per_seg, k, adjust_ties, self._tie_key)
 
     def batch_search(self, queries: Sequence[tuple], k: int = DEFAULT_K):
         """[(qid, text), ...] -> {qid: (docids, scores)} (SimpleSearcher
@@ -1112,14 +1050,6 @@ def _count_prunable(info, k: int) -> int:
     terms while the number of essential terms stays >= 1. Correctness never
     depends on this choice — only on the phase-B bound logic."""
     return max(0, len(info) - max(1, (len(info) + 1) // 2))
-
-
-def dl_block_min(bmd: np.ndarray, mode: str) -> np.ndarray:
-    if mode == "lucene":
-        from .norms import quantize_lengths
-
-        return quantize_lengths(bmd.astype(np.int64)).astype(np.float32)
-    return bmd.astype(np.float32)
 
 
 def _blocks_with_candidates(bf, lasts, cand) -> np.ndarray:
@@ -1149,19 +1079,9 @@ def _make_segment_actor():
             )
 
         def search_many(self, queries, k):
-            out = {}
-            for qid, text in queries:
-                clauses = self.local._clauses(text)
-                per_seg = []
-                if clauses:
-                    per_seg = [
-                        self.local._segment_topk_pruned(r, clauses, k)
-                        if self.local._prune_for(r)
-                        else self.local._segment_topk(r, clauses, k)
-                        for r in self.local.readers
-                    ]
-                out[qid] = _merge_ranked(per_seg, k)
-            return out
+            """{qid: per-segment top-k lists}, merged by the caller."""
+            return {qid: self.local._hits(self.local._clauses(text), k)
+                    for qid, text in queries}
 
     return SegmentSearchActor
 
@@ -1206,15 +1126,11 @@ class Searcher:
 
         futures = [a.search_many.remote(list(queries), k) for a in self.actors]
         partials = ray.get(futures)
-        out = {}
-        for qid, _ in queries:
-            hits = _merge_ranked([p.get(qid, []) for p in partials], k)
-            docids = [h[0] for h in hits]
-            scores = np.array([h[1] for h in hits], dtype=np.float32)
-            if adjust_ties:
-                scores = adjust_score_ties(scores)
-            out[qid] = (docids, scores)
-        return out
+        return {
+            qid: _ranked([seg for p in partials for seg in p[qid]], k,
+                         adjust_ties)
+            for qid, _ in queries
+        }
 
     def run_to_trec(self, queries, k: int = DEFAULT_K, runtag: str = "AnseriniRay"):
         results = self.batch_search(queries, k)

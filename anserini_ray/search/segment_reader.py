@@ -47,7 +47,10 @@ class _SortedTermMap:
         self._vals = values
         self._memo: dict = {}
 
-    def _lookup(self, term: str) -> int | None:
+    def _value(self, i: int):
+        return int(self._vals[i])
+
+    def _lookup(self, term: str):
         t = self._terms
         lo, hi = 0, len(t)
         while lo < hi:
@@ -57,7 +60,7 @@ class _SortedTermMap:
             else:
                 hi = mid
         if lo < len(t) and t[lo].as_py() == term:
-            return int(self._vals[lo])
+            return self._value(lo)
         return None
 
     def get(self, term: str, default=None):
@@ -73,7 +76,7 @@ class _SortedTermMap:
     def __contains__(self, term: str) -> bool:
         return self.get(term) is not None
 
-    def __getitem__(self, term: str) -> int:
+    def __getitem__(self, term: str):
         v = self.get(term)
         if v is None:
             raise KeyError(term)
@@ -83,58 +86,21 @@ class _SortedTermMap:
         return len(self._terms)
 
     def items(self):
-        vals = self._vals
         for i, t in enumerate(self._terms):
-            yield t.as_py(), int(vals[i])
+            yield t.as_py(), self._value(i)
 
 
-class _TermRangeMap:
-    """term -> (row_lo, row_hi) posting-run ranges, binary-searched over
-    the sorted unique-term Arrow column (same rationale as _SortedTermMap:
-    no per-term Python objects at load)."""
+class _TermRangeMap(_SortedTermMap):
+    """term -> (row_lo, row_hi) posting-run ranges over the sorted
+    unique-term Arrow column; the values are len(terms) + 1 row offsets."""
 
-    __slots__ = ("_terms", "_bounds", "_memo")
+    __slots__ = ()
 
-    def __init__(self, terms: pa.Array, bounds: np.ndarray):
-        self._terms = terms
-        self._bounds = bounds  # len(terms) + 1 row offsets
-        self._memo: dict = {}
-
-    def get(self, term: str, default=None):
-        memo = self._memo
-        if term in memo:
-            v = memo[term]
-        else:
-            t = self._terms
-            lo, hi = 0, len(t)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if t[mid].as_py() < term:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            v = None
-            if lo < len(t) and t[lo].as_py() == term:
-                v = (int(self._bounds[lo]), int(self._bounds[lo + 1]))
-            if len(memo) < 200_000:
-                memo[term] = v
-        return default if v is None else v
-
-    def __contains__(self, term: str) -> bool:
-        return self.get(term) is not None
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def items(self):
-        b = self._bounds
-        for i, t in enumerate(self._terms):
-            yield t.as_py(), (int(b[i]), int(b[i + 1]))
+    def _value(self, i: int):
+        return int(self._vals[i]), int(self._vals[i + 1])
 
     def values(self):
-        b = self._bounds
-        for i in range(len(self._terms)):
-            yield (int(b[i]), int(b[i + 1]))
+        return (self._value(i) for i in range(len(self._terms)))
 
 
 class _LazyBlobColumns:

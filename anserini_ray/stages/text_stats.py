@@ -99,9 +99,33 @@ def quality_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
 
 # ----------------------------------------------------------- token counts
 
+_PROCESS_STAGES: dict = {}
+
+
+def _process_stage(cls):
+    """Per-worker-process instance of a stateful stage class, so that a
+    plain task map builds the state once per worker (the pattern of
+    `build._process_analyzer`). Unlike an actor pool it cannot starve on
+    one CPU: a pool's actors hold the CPUs the input read is waiting for."""
+    st = _PROCESS_STAGES.get(cls)
+    if st is None:
+        st = _PROCESS_STAGES[cls] = cls()
+    return st
+
+
+def token_count_batch(batch: pa.Table) -> pa.Table:
+    """`TokenCounter` as a task-map function (one analyzer per process)."""
+    return _process_stage(TokenCounter)(batch)
+
+
+def pii_redact_batch(batch: pa.Table) -> pa.Table:
+    """`PiiRedact` as a task-map function (patterns compiled per process)."""
+    return _process_stage(PiiRedact)(batch)
+
+
 class TokenCounter:
-    """Analyzer-equivalent token counting as an actor-pool stage (the
-    analyzer is compiled once per actor). Emits doc token counts under both
+    """Analyzer-equivalent token counting (the analyzer is compiled once
+    per instance). Emits doc token counts under both
     the whitespace tokenizer and the full analysis chain.
 
     WHITESPACE CONTRACT (round-4 behavior change, documented per ADVICE):

@@ -76,36 +76,78 @@ def test_document_by_field(ray_session, tmp_path):
     assert d2 is not None and d2["turn_idx"] == 5
 
 
-def test_tweetid_tie_break(ray_session, tmp_path):
+def _tweet_index(tmp_path) -> str:
+    """Three tweets with identical texts -> exact score ties; ids chosen so
+    string order and numeric order DISAGREE ("10" < "2" < "9" as strings;
+    10 > 9 > 2). Positions, docvecs and ts are stored so that every query
+    mode can run."""
     import ray.data
 
     from anserini_ray.index import IndexConfig, build_index
-    from anserini_ray.search import LocalSearcher
 
-    # identical texts -> exact score ties; ids chosen so string order and
-    # numeric order DISAGREE ("10" < "2" < "9" as strings; 10 > 9 > 2)
     rows = pa.table(
         {
             "conv_id": ["10", "9", "2"],
             "turn_idx": pa.array([0, 0, 0], type=pa.int32()),
             "text": ["same tweet text"] * 3,
+            "ts": pa.array([100, 100, 100], type=pa.int64()),
         }
     )
     idx = str(tmp_path / "tw")
     build_index(
         ray.data.from_arrow(rows).sort(["conv_id", "turn_idx"]),
         idx,
-        IndexConfig(seg_shift=4),
+        IndexConfig(seg_shift=4, store_positions=True, store_docvecs=True),
         input_files=[],
     )
+    return idx
+
+
+def test_tweetid_tie_break(ray_session, tmp_path):
+    from anserini_ray.search import LocalSearcher
+
+    idx = _tweet_index(tmp_path)
     s_doc = LocalSearcher(idx)
     ids_doc, _ = s_doc.search("tweet text", k=3, adjust_ties=False)
     assert ids_doc == ["10:0", "2:0", "9:0"]  # docid-string ASC
     s_tw = LocalSearcher(idx, tie_break="tweetid")
     ids_tw, _ = s_tw.search("tweet text", k=3, adjust_ties=False)
     assert ids_tw == ["10:0", "9:0", "2:0"]  # numeric tweet id DESC
+    # every query mode ranks through the same tie-break
+    for mode, (ids, _) in {
+        "weighted": s_tw.search_weighted([("tweet", 1.0), ("text", 0.5)], k=3),
+        "rm3": s_tw.search_rm3("tweet text", k=3),
+        "axiom": s_tw.search_axiom("tweet text", k=3),
+        "phrase": s_tw.phrase_search("tweet text", k=3),
+        "sdm": s_tw.search_sdm("same tweet text", k=3),
+        "bm25prf": s_tw.search_bm25prf("tweet text", k=3),
+    }.items():
+        assert ids == ["10:0", "9:0", "2:0"], mode
     with pytest.raises(ValueError):
         LocalSearcher(idx, tie_break="nope")
+
+
+def test_cli_searchtweets_breaks_ties_by_tweet_id(ray_session, tmp_path):
+    """-searchtweets sorts score ties by tweet id DESC, as the reference's
+    searchTweets does (BREAK_SCORE_TIES_BY_TWEETID)."""
+    from anserini_ray import cli
+
+    idx = _tweet_index(tmp_path)
+    topics = tmp_path / "topics.txt"
+    topics.write_text(
+        "<top>\n<num> Number: MB01 </num>\n<query> tweet text </query>\n"
+        "<querytweettime> 1000 </querytweettime>\n</top>\n"
+    )
+    out = tmp_path / "run.txt"
+    argv = ["-index", idx, "-topics", str(topics), "-topicreader",
+            "microblog", "-output", str(out), "-hits", "3"]
+    assert cli.cmd_search(argv + ["-searchtweets"]) == 0
+    ranked = [line.split()[2] for line in out.read_text().splitlines()]
+    assert ranked == ["10:0", "9:0", "2:0"]
+    out.unlink()
+    assert cli.cmd_search(argv) == 0
+    ranked = [line.split()[2] for line in out.read_text().splitlines()]
+    assert ranked == ["10:0", "2:0", "9:0"]
 
 
 def test_distributed_searcher_has_no_tie_break():
