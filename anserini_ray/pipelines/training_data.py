@@ -10,11 +10,11 @@ import pyarrow.compute as pc
 
 import ray
 import ray.data
-from ray.data.aggregate import Count, Sum
 
 from ..stages import ann as A
 from ..stages import dedup as D
 from ..stages import text_stats as T
+from ..stages.hashagg import hash_aggregate
 
 
 def _docs(sf_dir: str, columns=None):
@@ -246,7 +246,6 @@ def ngram_counts(sf_dir: str, n: int = 2, k: int = 100):
     batch, emitted as skinny (gram, n_partial) rows), so only the partial
     vocabulary — not the corpus — reaches the one wide hash aggregate; the
     final top-k is per-batch partial top-k + bounded driver merge."""
-    from ..stages.hashagg import hash_aggregate
 
     def partial(batch: pa.Table) -> pa.Table:
         counts: dict = {}
@@ -1044,7 +1043,7 @@ def pack_sequences(sf_dir: str):
 
 def pack_sequences_sorted(sf_dir: str):
     """Shuffle-free pack_sequences over the id-sorted documents parquet:
-    group-aligned units cut from footer statistics, no groupby/sort (see
+    group-aligned units cut from footer statistics, no exchange or sort (see
     stages/corpus_ops.pack_sequences_sorted). Same output contract and SQL
     oracle as pack_sequences."""
     from ..stages.corpus_ops import pack_sequences_sorted as _pack
@@ -1083,6 +1082,23 @@ PACK_SEQUENCES_SQL = """
 
 
 # ------------------------------------------------- events windowed aggregate
+def _count_and_sum(ds, keys: list[str]):
+    """(keys, n_events, sum_value) per key through the hash aggregate, the
+    sum rounded to 4 decimals."""
+
+    def finish(batch: pa.Table) -> pa.Table:
+        # float64 summation order differs between engines; round for the
+        # order-insensitive value-hash comparison. numpy round canonicalizes
+        # to the same double as DuckDB's round (pyarrow's pc.round does NOT —
+        # it leaves near-boundary doubles untouched)
+        rounded = pa.array(np.round(batch["sum_value"].to_numpy(), 4))
+        return batch.set_column(len(keys) + 1, "sum_value", rounded)
+
+    return hash_aggregate(
+        ds, keys, [("count", None), ("sum", "value")], ["n_events", "sum_value"]
+    ).map_batches(finish, batch_format="pyarrow")
+
+
 def events_windowed(sf_dir: str):
     """Tumbling 1-hour window per event_type: count + sum(value) (the
     streaming-window operator expressed batch-side; reference has no
@@ -1098,24 +1114,10 @@ def events_windowed(sf_dir: str):
             names=["window_start", "event_type", "value"],
         )
 
-    agg = (
-        ds.map_batches(window_key, batch_format="pyarrow")
-        .groupby(["window_start", "event_type"])
-        .aggregate(Count(), Sum("value"))
+    return _count_and_sum(
+        ds.map_batches(window_key, batch_format="pyarrow"),
+        ["window_start", "event_type"],
     )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        out = batch.rename_columns(
-            ["window_start", "event_type", "n_events", "sum_value"]
-        )
-        # float64 summation order differs between engines; round for the
-        # order-insensitive value-hash comparison. numpy round canonicalizes
-        # to the same double as DuckDB's round (pyarrow's pc.round does NOT —
-        # it leaves near-boundary doubles untouched)
-        rounded = pa.array(np.round(out["sum_value"].to_numpy(), 4))
-        return out.set_column(3, "sum_value", rounded)
-
-    return agg.map_batches(finish, batch_format="pyarrow")
 
 
 EVENTS_WINDOWED_SQL = """
@@ -1131,14 +1133,7 @@ def events_by_type(sf_dir: str):
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_type", "value"]
     )
-    agg = ds.groupby("event_type").aggregate(Count(), Sum("value"))
-
-    def finish(batch: pa.Table) -> pa.Table:
-        out = batch.rename_columns(["event_type", "n_events", "sum_value"])
-        rounded = pa.array(np.round(out["sum_value"].to_numpy(), 4))
-        return out.set_column(2, "sum_value", rounded)
-
-    return agg.map_batches(finish, batch_format="pyarrow")
+    return _count_and_sum(ds, ["event_type"])
 
 
 EVENTS_BY_TYPE_SQL = """
@@ -1152,13 +1147,8 @@ def top_users_by_events(sf_dir: str, k: int = 20):
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id"]
     )
-    agg = ds.groupby("user_id").aggregate(Count())
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return batch.rename_columns(["user_id", "n_events"])
-
     return (
-        agg.map_batches(finish, batch_format="pyarrow")
+        hash_aggregate(ds, ["user_id"], [("count", None)], ["n_events"])
         .sort(["n_events", "user_id"], descending=[True, False])
         .limit(k)
     )
@@ -1182,7 +1172,6 @@ def length_quantiles(sf_dir: str):
     the Arrow hash aggregate + a driver-side cumulative walk gives exact
     order statistics. At 100 TB the histogram stays ≤ distinct-count rows
     (thousands) regardless of corpus size."""
-    from ..stages.hashagg import hash_aggregate
 
     def counts(batch: pa.Table) -> pa.Table:
         return pa.table(

@@ -212,9 +212,9 @@ def embedding_cosine_near_dup(
     id_col: str = "vec_id",
     max_group_size: int | None = 256,  # dedup.DEFAULT_MAX_GROUP_SIZE
 ):
-    """Near-duplicate vector pairs: LSH bucket groupby → exact cosine verify
-    within buckets (vectors shuffle only bucket keys + ids; exact verify
-    re-reads candidate vectors via broadcast id-set filter)."""
+    """Near-duplicate vector pairs: LSH bucket exchange → exact cosine verify
+    within buckets (the bucket exchange moves only bucket keys + ids; the
+    verify attaches each candidate's normalized vector to its pairs)."""
     probe = ds.take(1)
     if not probe:  # no vectors: no pairs
         return ray.data.from_items([])
@@ -241,10 +241,10 @@ def embedding_cosine_near_dup(
         )
 
     # Distributed exact verification (nothing corpus-proportional on the
-    # driver): >=2-member buckets via the split-route (no map_groups call
-    # per singleton bucket) -> deduped pair Dataset -> normalized vectors
-    # attached per side (broadcast under a cap, hash join above) -> per-pair
-    # cosine in map_batches. Returns a Dataset (vec_a, vec_b, cosine).
+    # driver): >=2-member buckets via the hash-partitioned exchange (no
+    # per-bucket call) -> deduped pair Dataset -> normalized vectors
+    # attached per side (one exchange per side) -> per-pair cosine in
+    # map_batches. Returns a Dataset (vec_a, vec_b, cosine).
     from .dedup import (
         attach_pair_payloads,
         distinct_pairs_from_groups,
@@ -258,8 +258,8 @@ def embedding_cosine_near_dup(
     pairs = distinct_pairs_from_groups(g, "doc_ids", max_group_size)
 
     def vec_payload(batch: pa.Table) -> pa.Table:
-        # binary blob, not list<float64>: Acero joins (the above-cap attach
-        # path) reject list-typed non-key fields — see dedup.shingle_payload
+        # binary blob, not list<float64>: one contiguous buffer per
+        # payload column, as in dedup.shingle_payload
         m = _normalize(_batch_matrix(batch, vec_col))
         return pa.Table.from_arrays(
             [

@@ -25,6 +25,7 @@ import ray
 import ray.data
 
 from .dedup import word_shingles
+from .hashagg import hash_partition_groups
 
 
 def benchmark_shingles(texts: list[str], n: int = 3) -> frozenset[str]:
@@ -184,9 +185,7 @@ def pack_sequences(
             }
         )
 
-    return counted.groupby("pack_group").map_groups(
-        pack_group, batch_format="pyarrow"
-    )
+    return hash_partition_groups(counted, ["pack_group"], pack_group)
 
 
 # rows per sorted-path unit: same amortize-vs-balance tradeoff as the
@@ -213,7 +212,7 @@ def pack_sequences_sorted(
     Each unit is a run of consecutive row groups (possibly spanning files)
     whose trailing edge aligns with a pack-group break; one Ray task packs
     each unit independently and the results become a Dataset via
-    `from_arrow_refs` — no groupby, no sort, no all-to-all, nothing
+    `from_arrow_refs` — no exchange, no sort, no all-to-all, nothing
     corpus-proportional on the driver (footer metadata only).
 
     Output is row-identical to `pack_sequences` on the same rows. Raises

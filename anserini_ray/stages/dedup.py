@@ -4,21 +4,23 @@ The reference's only dedup is exact last-write-wins by docid
 (`J/index/IndexCollection.java:213-217`, `-uniqueDocid`); the rest are the
 standard web-scale techniques added as first-class Ray Data stages:
 
-- exact_dedup           hash-partitioned exact text dedup (groupby on a
-                        64-bit content hash, representative = min doc_id)
+- exact_dedup           hash-partitioned exact text dedup (hash aggregate
+                        on a 64-bit content hash, representative = min
+                        doc_id)
 - unique_by_key         last/first-wins upsert by key (the `-uniqueDocid`
                         analog, generalized)
 - minhash_lsh_dedup     word-shingle MinHash signatures → banded LSH
-                        bucketing (groupby on band hash) → candidate groups
-                        → exact n-gram-Jaccard verification
-- simhash_dedup         64-bit SimHash + hamming-ball blocking (4-band exact
-                        match covers hamming distance <= 3)
+                        bucketing (exchange on band hash) → candidate
+                        groups → exact n-gram-Jaccard verification
+- simhash_dedup         64-bit SimHash + hamming-ball blocking (Manku block
+                        tables, exact for hamming distance <= 3)
 - ngram_jaccard         exact Jaccard similarity between shingle sets
 
-All stages are map_batches (vectorized or dict-based per batch) plus ONE
-groupby shuffle keyed on a fixed-width hash — the scalable shape: content
-never shuffles, only (hash, id) pairs and, for verified pairs, shingle sets
-of candidate groups (tiny unless the corpus is mostly duplicates).
+All stages are map_batches (vectorized per batch) plus the one
+hash-partitioned exchange of `stages/hashagg` keyed on a fixed-width hash
+or id — the scalable shape: content never shuffles, only (hash, id) rows
+and, for verified pairs, the payloads of the ids that occur in a pair.
+Nothing but object refs passes through the driver.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray
-import ray.data
-from ray.data.aggregate import Count, Min
+
+from .hashagg import hash_aggregate, hash_partition_apply, key_runs
 
 logger = logging.getLogger(__name__)
 
@@ -46,15 +48,10 @@ def _md5_64(s: str) -> int:
     return struct.unpack("<q", hashlib.md5(s.encode()).digest()[:8])[0]
 
 
-# Back-compat alias (the token-hash choice is an internal detail; every
-# consumer goes through _hash_tokens_64 / _md5_64).
-_sha1_64 = _md5_64
-
-
 def _hash_tokens_64(tokens: list[str]) -> np.ndarray:
     """Deterministic 64-bit hashes per token (stable across processes)."""
     return np.fromiter(
-        (_sha1_64(t) for t in tokens), dtype=np.int64, count=len(tokens)
+        (_md5_64(t) for t in tokens), dtype=np.int64, count=len(tokens)
     )
 
 
@@ -258,129 +255,37 @@ def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id"):
 
     def add_hash(batch: pa.Table) -> pa.Table:
         hashes = pa.array(
-            [_sha1_64(t or "") for t in batch[text_col].to_pylist()],
+            [_md5_64(t or "") for t in batch[text_col].to_pylist()],
             type=pa.int64(),
         )
         return pa.Table.from_arrays(
             [hashes, batch[id_col]], names=["text_hash", id_col]
         )
 
-    agg = (
-        ds.map_batches(add_hash, batch_format="pyarrow")
-        .groupby("text_hash")
-        .aggregate(Min(id_col), Count())
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.Table.from_arrays(
-            [batch[f"min({id_col})"], batch["count()"]],
-            names=["rep_doc_id", "dup_count"],
-        )
-
-    return agg.map_batches(finish, batch_format="pyarrow")
-
-
-@ray.remote
-def _block_key_winners(table: pa.Table, key_cols: list[str], last: bool):
-    """One (key_cols, order)-sorted block -> (winner rows, first key, last
-    key). Winner = last (or first) row of each key run — fully vectorized
-    (pyarrow compare + shift, no per-group Python)."""
-    n = table.num_rows
-    if n == 0:
-        return table, None, None
-    same = None
-    for c in key_cols:
-        col = table[c]
-        eq = pc.equal(col.slice(0, n - 1), col.slice(1))
-        same = eq if same is None else pc.and_(same, eq)
-    if n == 1:
-        idx = np.array([0])
-    else:
-        change = ~same.combine_chunks().to_numpy(zero_copy_only=False)
-        if last:
-            # keep i where row i+1 starts a new key, plus the final row
-            idx = np.append(np.flatnonzero(change), n - 1)
-        else:
-            # keep row 0 plus every run start
-            idx = np.concatenate([[0], np.flatnonzero(change) + 1])
-    first = tuple(table[c][0].as_py() for c in key_cols)
-    lastk = tuple(table[c][n - 1].as_py() for c in key_cols)
-    return table.take(pa.array(idx)), first, lastk
+    return hash_aggregate(
+        ds.map_batches(add_hash, batch_format="pyarrow"),
+        ["text_hash"],
+        [("min", id_col), ("count", None)],
+        ["rep_doc_id", "dup_count"],
+    ).drop_columns(["text_hash"])
 
 
 def unique_by_key(ds, key_cols: list[str], order_col: str, keep: str = "last"):
     """Upsert semantics: keep one row per key — `keep="last"` mirrors the
     reference's `writer.updateDocument` last-write-wins
-    (`IndexCollection.java:213-217`).
+    (`IndexCollection.java:213-217`): the row with the largest `order_col`
+    (`keep="first"`: the smallest); of rows tied on it, one is kept.
 
-    Scale shape: ONE sort shuffle by (key, order), then a vectorized
-    last-of-run pick per block; keys spanning block boundaries are resolved
-    on the driver from per-block boundary keys only (one tuple per block —
-    never row data). No per-group Python callback anywhere.
-    (Dataset.join was avoided deliberately: Ray's hash-join aggregator
-    builds schema-less empty partitions that crash the pyarrow join.)"""
-    last = keep == "last"
-    ctx = ds.context
-    prev_preserve = ctx.execution_options.preserve_order
-    ctx.execution_options.preserve_order = True  # block order IS key order
-    try:
-        mat = ds.sort(key_cols + [order_col]).materialize()
-    finally:
-        ctx.execution_options.preserve_order = prev_preserve
-    refs = mat.to_arrow_refs()
-    results = [
-        _block_key_winners.remote(r, key_cols, last) for r in refs
-    ]
-    metas = ray.get([_meta_of.remote(t) for t in results])
-    # drop block i's winner for a key also present in a LATER (keep=last) /
-    # EARLIER (keep=first) block: sorted order puts all rows of a key in
-    # consecutive blocks, so only the boundary key can be superseded.
-    drop_first_of: list[tuple[int, tuple] | None] = []
-    keep_refs = []
-    n_blocks = len(results)
-    firsts = [m[0] for m in metas]
-    lasts_ = [m[1] for m in metas]
-    for i in range(n_blocks):
-        if firsts[i] is None:
-            continue
-        drop_key = None
-        if last:
-            # superseded if my last key reappears in any later nonempty block
-            for j in range(i + 1, n_blocks):
-                if firsts[j] is None:
-                    continue
-                if firsts[j] == lasts_[i]:
-                    drop_key = lasts_[i]
-                break
-        else:
-            for j in range(i - 1, -1, -1):
-                if firsts[j] is None:
-                    continue
-                if lasts_[j] == firsts[i]:
-                    drop_key = firsts[i]
-                break
-        keep_refs.append(
-            _drop_boundary_winner.remote(results[i], key_cols, drop_key)
-        )
-    return ray.data.from_arrow_refs(keep_refs)
+    One hash-partitioned exchange on the key puts every row of a key in
+    one partition, which sorts by (key, order) and takes the last (or
+    first) row of each key run, vectorized."""
 
+    def winners(part: pa.Table) -> pa.Table:
+        part = part.sort_by([(c, "ascending") for c in key_cols + [order_col]])
+        b = key_runs(part, key_cols)
+        return part.take(pa.array(b[1:] - 1 if keep == "last" else b[:-1]))
 
-@ray.remote
-def _meta_of(result) -> tuple:
-    _, first, lastk = result
-    return first, lastk
-
-
-@ray.remote
-def _drop_boundary_winner(result, key_cols: list[str], drop_key):
-    table, _, _ = result
-    if drop_key is None or table.num_rows == 0:
-        return table
-    mask = None
-    for c, v in zip(key_cols, drop_key):
-        eq = pc.equal(table[c], pa.scalar(v))
-        mask = eq if mask is None else pc.and_(mask, eq)
-    return table.filter(pc.invert(mask))
+    return hash_partition_apply(ds, key_cols, winners)
 
 
 # ----------------------------------------------------------- MinHash + LSH
@@ -399,9 +304,10 @@ def minhash_lsh_dedup(
     """Near-duplicate groups via MinHash + banded LSH.
 
     Stages: map_batches signatures (stateful perm params, vectorized) →
-    flat emit (band_id, band_hash, id) → groupby band bucket → candidate
-    groups (>=2 members) → optional exact-Jaccard verification pass that
-    re-derives shingles only for candidate docs (broadcast candidate-id set).
+    flat emit (band_id, band_hash, id) → exchange on the band bucket →
+    candidate groups (>=2 members) → optional exact-Jaccard verification
+    pass that
+    attaches each candidate doc's shingle hashes to its pairs.
     Returns a Dataset of (band_id, band_hash, doc_ids list, pair rows with
     jaccard) — flattened as (doc_a, doc_b, jaccard) pairs when verify=True,
     else (band_id, band_hash, doc_ids)."""
@@ -433,10 +339,10 @@ def minhash_lsh_dedup(
         return groups
 
     # Exact verification, fully DISTRIBUTED (nothing corpus-proportional on
-    # the driver): bucket groups -> candidate-pair Dataset (deduped by a
-    # groupby) -> per-doc shingle-hash payloads attached (broadcast map-side
-    # join under a cap, hash join above) -> vectorized per-pair Jaccard in
-    # map_batches. Returns a Dataset (doc_a, doc_b, jaccard).
+    # the driver): bucket groups -> candidate-pair Dataset (deduped in the
+    # exchange on the pair) -> per-doc shingle-hash payloads attached (one
+    # exchange per pair side) -> exact per-pair Jaccard in map_batches.
+    # Returns a Dataset (doc_a, doc_b, jaccard).
     pairs = distinct_pairs_from_groups(groups, "doc_ids", max_group_size)
     return verified_jaccard_pairs(
         ds, pairs, text_col, id_col, shingle_n, threshold
@@ -452,19 +358,15 @@ def verified_jaccard_pairs(
     threshold: float,
 ):
     """Exact-Jaccard verification of a candidate-pair Dataset: attach each
-    side's md5 shingle-hash payload (broadcast under the pair/byte caps,
-    distributed hash join above), compute exact Jaccard per pair vectorized,
-    and keep pairs >= threshold. Shared by minhash_lsh_dedup and
+    side's md5 shingle-hash payload (`attach_pair_payloads`), compute exact
+    Jaccard per pair, and keep pairs >= threshold. Shared by minhash_lsh_dedup and
     ngram_jaccard_join — md5-on-strings hashing so the result is
     reproducible by the DuckDB all-pairs SQL oracle."""
 
     def shingle_payload(batch: pa.Table) -> pa.Table:
         # payload is a BINARY blob (sorted int64 shingle hashes as raw
-        # bytes), NOT list<int64>: the above-cap distributed attach path is
-        # an Acero hash join, and Acero rejects list-typed non-key fields
-        # ("Data type list<int64> is not supported in join non-key field"
-        # — found live by the round-5 dress rehearsal, whose template-heavy
-        # transcript corpus blows past the 2M-pair broadcast cap)
+        # bytes), not list<int64>: one contiguous buffer per payload
+        # column, taken by the attach and read back with np.frombuffer
         ids = batch[id_col]
         payloads = [
             np.sort(
@@ -510,7 +412,6 @@ def _hot_shingle_set(ds, text_col: str, shingle_n: int, k: int):
     block, so the shuffle is vocab-bounded), then per-block top-k partials —
     the driver merges at most k x nblocks skinny (hash, df) rows, never the
     vocabulary."""
-    from .hashagg import hash_aggregate
 
     def explode(batch: pa.Table) -> pa.Table:
         H, D, _ = _shingle_hash_arrays(batch[text_col], shingle_n)
@@ -580,7 +481,7 @@ def ngram_jaccard_join(
     Prefix-filter lemma: under ANY global total order on the shingle
     universe, two sets with Jaccard >= t share at least one element within
     each set's first |S| - ceil(t*|S|) + 1 elements. So each doc emits only
-    its prefix shingles, candidates form in a single groupby on the shingle
+    its prefix shingles, candidates form in one exchange on the shingle
     hash, and the shared distributed verify computes exact Jaccard.
 
     Scale shape: the order is (is_hot, hash) — a BOUNDED broadcast set of
@@ -590,8 +491,8 @@ def ngram_jaccard_join(
     never create buckets; correctness is order-independent, only candidate
     volume changes. hot_shingles=0 skips the df pass entirely (pure hash
     order, map-only emit). Everything downstream reuses the minhash pair
-    machinery: ONE groupby on the emitted (shingle, id) rows, pair dedup,
-    capped/star-logged groups, broadcast-or-join payload attach.
+    machinery: one exchange on the emitted (shingle, id) rows, pair dedup,
+    capped/star-logged groups, per-side payload attach.
 
     Exactness caveat (same class as exact_dedup's content hash): candidate
     generation and sizes use 64-bit rolling shingle hashes, so a 2^-64
@@ -662,28 +563,22 @@ def ngram_jaccard_join(
 
 def dup_bucket_groups(buckets, band_col: str, hash_col: str, id_col: str):
     """(band, hash, id) bucket rows -> (band, hash, sorted member-id list)
-    groups for buckets with >= 2 members — WITHOUT one Python map_groups
-    call per bucket (on a mostly-unique corpus almost every bucket is a
-    singleton: measured 4M buckets, 67K with dups, where the naive
-    groupby().map_groups cost ~4 minutes of per-group call overhead).
+    groups for buckets with >= 2 members — WITHOUT one Python call per
+    bucket (on a mostly-unique corpus almost every bucket is a singleton:
+    measured 4M buckets, 67K with dups, where a per-group callback cost
+    ~4 minutes of call overhead).
 
     One hash-partitioned exchange on (band, hash) puts every row of a
     bucket in one partition; each partition builds all its groups
     vectorized: sort, run-boundary detection, runs of >= 2 members kept
     as ListArray offsets. Nothing but refs passes through the driver."""
-    from .hashagg import hash_partition_apply
 
     def build_groups(part: pa.Table) -> pa.Table:
         part = part.sort_by(
             [(band_col, "ascending"), (hash_col, "ascending"),
              (id_col, "ascending")]
         )
-        band = part[band_col].to_numpy()
-        hsh = part[hash_col].to_numpy()
-        change = (band[1:] != band[:-1]) | (hsh[1:] != hsh[:-1])
-        bounds = np.concatenate(
-            [[0], np.flatnonzero(change) + 1, [part.num_rows]]
-        )
+        bounds = key_runs(part, [band_col, hash_col])
         lens = np.diff(bounds)
         dup = lens >= 2
         firsts = pa.array(bounds[:-1][dup])
@@ -706,36 +601,6 @@ def dup_bucket_groups(buckets, band_col: str, hash_col: str, id_col: str):
 
 # ----------------------------------------------- distributed pair machinery
 
-PAIR_BROADCAST_LIMIT = 2_000_000  # candidate pairs under this -> broadcast
-PAIR_BROADCAST_BYTES_LIMIT = 2 << 30  # ... and candidate payloads under 2 GiB
-
-
-def _arrow_schema(ds) -> pa.Schema | None:
-    """The Arrow schema of ds; None when ds has no rows and reports none."""
-    sch = ds.schema()
-    if sch is None:
-        return None
-    base = getattr(sch, "base_schema", None)
-    if isinstance(base, pa.Schema):
-        return base
-    return pa.schema(list(zip(sch.names, sch.types)))
-
-
-def _normalize_empty_blocks(ds_in, schema: pa.Schema):
-    """Ray's hash aggregate/shuffle can emit schema-LESS empty blocks, which
-    crash a downstream pyarrow join ("no match for key field"); rewrite them
-    as properly-typed empty tables."""
-
-    def fix(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0:
-            return pa.Table.from_arrays(
-                [pa.array([], type=f.type) for f in schema], schema=schema
-            )
-        return b.select(schema.names)
-
-    return ds_in.map_batches(fix, batch_format="pyarrow")
-
-
 def distinct_pairs_from_groups(groups, ids_col: str, max_group_size: int | None):
     """Explode candidate groups (list column of member ids) into distinct
     (doc_a, doc_b) pairs as a Dataset. Oversized groups (hot buckets) emit a
@@ -743,7 +608,9 @@ def distinct_pairs_from_groups(groups, ids_col: str, max_group_size: int | None)
     still connects every member to a representative for dedup purposes.
     Star truncation bounds recall for non-representative pairs, so it is
     LOGGED per batch (no silent caps); pass max_group_size=None for exact
-    all-pairs semantics on corpora known to have small groups."""
+    all-pairs semantics on corpora known to have small groups. A pair seen
+    in several groups is kept once: the exchange on the pair puts its
+    copies in one partition."""
 
     def emit(batch: pa.Table) -> pa.Table:
         col = batch[ids_col].combine_chunks()
@@ -785,95 +652,44 @@ def distinct_pairs_from_groups(groups, ids_col: str, max_group_size: int | None)
             names=["doc_a", "doc_b"],
         )
 
-    sch = _arrow_schema(groups)
-    if sch is None:  # no bucket rows at all: no pairs
-        return groups
-    exploded = groups.map_batches(emit, batch_format="pyarrow")
-    id_type = sch.field(ids_col).type.value_type
-    pair_schema = pa.schema([("doc_a", id_type), ("doc_b", id_type)])
-    # dedupe pairs seen in multiple buckets: one groupby on the pair key
-    return _normalize_empty_blocks(
-        exploded.groupby(["doc_a", "doc_b"]).aggregate(Count()), pair_schema
+    def distinct(part: pa.Table) -> pa.Table:
+        return part.group_by(["doc_a", "doc_b"]).aggregate([])
+
+    return hash_partition_apply(
+        groups.map_batches(emit, batch_format="pyarrow"),
+        ["doc_a", "doc_b"], distinct,
     )
 
 
 def attach_pair_payloads(pairs, payload_ds):
     """Attach per-id payloads (payload_ds: (pid, payload)) to both sides of a
-    (doc_a, doc_b) pair Dataset -> columns payload_a, payload_b.
+    (doc_a, doc_b) pair Dataset -> columns payload_a, payload_b; a pair
+    whose id has no payload row is dropped.
 
-    Under PAIR_BROADCAST_LIMIT pairs AND PAIR_BROADCAST_BYTES_LIMIT payload
-    bytes: a (id -> payload) map is built INSIDE a Ray task (the driver holds
-    only the object ref) and read per task (broadcast map-side join).
-    Above either cap: two distributed hash joins."""
-    # materialize BEFORE count(): on a lazy Dataset, count() executes the
-    # whole candidate-pair pipeline and then the broadcast/join consumers
-    # would execute it again
-    pairs = pairs.materialize()
-    n_pairs = pairs.count()
-    if n_pairs == 0:
-        # nothing to attach; map_batches hands no zero-row block to the
-        # callers' verify functions, so their result is empty too
-        return pairs
-    if n_pairs <= PAIR_BROADCAST_LIMIT:
-        cand = frozenset(pairs.unique("doc_a")) | frozenset(pairs.unique("doc_b"))
-        cand_ref = ray.put(cand)
+    Two hash-partitioned exchanges, on doc_a and then on doc_b, each over
+    the pairs and the payloads (computed once, split on pid by the same
+    hash): each partition attaches its side with `pc.index_in` + `take`.
+    Only object refs pass through the driver."""
+    payloads = payload_ds.materialize()
 
-        def grab(batch: pa.Table) -> pa.Table:
-            cs = ray.get(cand_ref)
-            mask = pa.array([i in cs for i in batch["pid"].to_pylist()])
-            return batch.filter(mask)
+    def attach(side: str):
+        def fn(part: pa.Table, pay: pa.Table) -> pa.Table:
+            idx = pc.index_in(
+                part[f"doc_{side}"], value_set=pay["pid"].combine_chunks()
+            )
+            found = pc.is_valid(idx)
+            return part.filter(found).append_column(
+                f"payload_{side}", pay["payload"].take(idx.filter(found))
+            )
 
-        fetched = payload_ds.map_batches(grab, batch_format="pyarrow").materialize()
-        # bytes-aware gate: the 2M-pair row cap does not bound payload BYTES
-        # (shingle sets scale with doc length) — fall through to the
-        # distributed hash-join path when candidate payloads are too big to
-        # hold in one worker heap
-        if fetched.size_bytes() <= PAIR_BROADCAST_BYTES_LIMIT:
-            # build the (id -> payload) map inside a Ray task, not on the
-            # driver: the driver only ever holds the object ref
-            @ray.remote
-            def _build_map(*tables: pa.Table) -> dict:
-                out = {}
-                for t in tables:
-                    ids = t["pid"].to_pylist()
-                    pls = t["payload"].to_pylist()
-                    out.update(zip(ids, pls))
-                return out
+        return fn
 
-            pay_ref = _build_map.remote(*fetched.to_arrow_refs())
-            return _attach_via_map(pairs, pay_ref)
-    # scale path: two hash joins (payloads shuffle once per side, candidate-
-    # restricted by the inner join)
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    nparts = max(2, min(cpus - 2, 16))
-    pa_ds = payload_ds.map_batches(
-        lambda b: b.rename_columns(["doc_a", "payload_a"]),
-        batch_format="pyarrow",
+    with_a = hash_partition_apply(
+        [pairs, payloads], [["doc_a"], ["pid"]], attach("a")
     )
-    pb_ds = payload_ds.map_batches(
-        lambda b: b.rename_columns(["doc_b", "payload_b"]),
-        batch_format="pyarrow",
+    return hash_partition_apply(
+        [with_a, payloads], [["doc_b"], ["pid"]], attach("b")
     )
-    out = pairs.join(pa_ds, "inner", nparts, on=("doc_a",))
-    return out.join(pb_ds, "inner", nparts, on=("doc_b",))
-
-
-def _attach_via_map(pairs, pay_ref):
-    def attach(batch: pa.Table) -> pa.Table:
-        pay = ray.get(pay_ref)
-        pl_a = [pay.get(i) for i in batch["doc_a"].to_pylist()]
-        pl_b = [pay.get(i) for i in batch["doc_b"].to_pylist()]
-        return pa.Table.from_arrays(
-            [
-                batch["doc_a"],
-                batch["doc_b"],
-                pa.array(pl_a),
-                pa.array(pl_b),
-            ],
-            names=["doc_a", "doc_b", "payload_a", "payload_b"],
-        )
-
-    return pairs.map_batches(attach, batch_format="pyarrow")
 
 
 # ----------------------------------------------------------------- SimHash
@@ -1014,7 +830,6 @@ def duplicate_ngram_spans(ds, n: int = 8, text_col: str = "text",
     64-bit gram-hash collisions can only over-mark a position as
     covered (conservative for dedup); exact-match oracles hold at test
     scale."""
-    from .hashagg import hash_partition_apply
 
     def emit(batch: pa.Table) -> pa.Table:
         H, D, P = _gram_hash_positions(batch[text_col], n)

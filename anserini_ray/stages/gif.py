@@ -270,11 +270,14 @@ def _decode_gif(buf: bytes, max_frames: int):
         ).reshape(h, w)
         if ipacked & 0x40:
             idx = _deinterlace(idx)
-        if idx.max(initial=0) >= len(ct):
+        # a transparent pixel is never looked up: its index may lie past
+        # the color table
+        opaque = idx if transparent is None else idx[idx != transparent]
+        if opaque.max(initial=0) >= len(ct):
             raise ValueError("GIF pixel index out of palette range")
         if disposal == 3:
             saved = screen.copy()
-        rgb = ct[idx]
+        rgb = ct[np.minimum(idx, len(ct) - 1)]
         if transparent is not None:
             mask = idx == transparent
             rgb = np.where(mask[:, :, None],

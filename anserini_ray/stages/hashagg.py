@@ -8,16 +8,20 @@ vectorized hash of its key columns over the Arrow buffers
 slices and applies a function to the whole partition. Every row of a key
 lands in one partition, so per-key work (counting, run detection, span
 building) runs in-partition with no driver round trip; reducer fan-in is
-bounded by the partition count.
+bounded by the partition count. Several inputs split by the same hash on
+their own key columns make a co-partitioned join (the near-dup payload
+attach), and `hash_partition_groups` calls a function once per key group
+of each partition (sessionization, as-of and range joins, packing).
 
 `hash_aggregate` pre-combines each batch with pyarrow `Table.group_by`
 (C++ hash aggregate — the combiner) and merges each partition with the
 MERGE functions (sum-of-counts, sum-of-sums, min-of-mins, max-of-maxs).
 Only pre-combined rows ever move. Measured ~20x faster than
 `Dataset.groupby` on a 600K-row 500K-distinct-key skinny table (see
-BASELINE.md round 3). `stages/dedup.py` builds its duplicate-key paths
-on the same exchange; `index/build.write_termstats` uses the same shape
-for one key and writes each partition as a file.
+BASELINE.md round 3). Every keyed operator in `stages/` and
+`pipelines/training_data.py` runs on this exchange;
+`index/build.write_termstats` uses the same shape for one key and writes
+each partition as a file.
 
 Supported aggs: ("count", None) plus ("sum"|"min"|"max", col).
 """
@@ -28,6 +32,7 @@ import zlib
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray
 import ray.data
@@ -160,11 +165,15 @@ def _split_block(table: pa.Table, keys: list[str], nparts: int):
 
 
 @ray.remote
-def _apply_partition(fn, *slices: pa.Table) -> pa.Table:
-    return fn(pa.concat_tables(slices))
+def _apply_partition(fn, counts: list[int], *slices: pa.Table) -> pa.Table:
+    tables, lo = [], 0
+    for c in counts:
+        tables.append(pa.concat_tables(slices[lo : lo + c]))
+        lo += c
+    return fn(*tables)
 
 
-def hash_partition_apply(ds, keys: list[str], fn, nparts: int | None = None):
+def hash_partition_apply(ds, keys, fn, nparts: int | None = None):
     """Hash-partition the rows of `ds` on `keys` and apply `fn` to each
     partition, so every row of a key reaches the same `fn` call.
 
@@ -172,25 +181,73 @@ def hash_partition_apply(ds, keys: list[str], fn, nparts: int | None = None):
     `vectorized_key_hash` (one task per block); one task per partition
     concatenates its slices and returns `fn(table)`. nparts defaults to
     min(32, cluster CPUs) and is at least 2. Only object refs pass through
-    the driver. Returns a Dataset of the nparts results."""
+    the driver. Returns a Dataset of the nparts results.
+
+    Several inputs make a co-partitioned join: `ds` is a list of Datasets
+    and `keys` a list of key-column lists, one per input, each input split
+    on its own keys by the same hash; `fn` gets one table per input. The
+    result is empty when any input has no rows."""
     cpus = int(ray.cluster_resources().get("CPU", 8))
     nparts = max(2, nparts or min(32, cpus))
+    inputs = zip(ds, keys) if isinstance(ds, (list, tuple)) else [(ds, keys)]
     # Ray Data represents skipped-empty blocks as 0-row tables with an EMPTY
     # schema; drop them by metadata (no driver-side fetch) or the split
     # would miss the key columns. Each block is split as soon as the
     # upstream pipeline yields it.
     splits = [
-        _split_block.options(num_returns=nparts).remote(block, keys, nparts)
-        for bundle in ds.iter_internal_ref_bundles()
-        for block, meta in bundle.blocks
-        if meta.num_rows is None or meta.num_rows > 0
+        [
+            _split_block.options(num_returns=nparts).remote(block, k, nparts)
+            for bundle in d.iter_internal_ref_bundles()
+            for block, meta in bundle.blocks
+            if meta.num_rows is None or meta.num_rows > 0
+        ]
+        for d, k in inputs
     ]
-    if not splits:
+    if not all(splits):
         return ray.data.from_items([])
+    counts = [len(s) for s in splits]
     return ray.data.from_arrow_refs([
-        _apply_partition.remote(fn, *[s[p] for s in splits])
+        _apply_partition.remote(
+            fn, counts, *[s[p] for per_input in splits for s in per_input]
+        )
         for p in range(nparts)
     ])
+
+
+def key_runs(table: pa.Table, keys: list[str]) -> np.ndarray:
+    """Run boundaries of a table sorted by `keys`: the start offset of each
+    run of equal keys, then num_rows (just [0] for no rows). Nulls equal
+    each other."""
+    n = table.num_rows
+    m = max(n - 1, 0)
+    change = np.zeros(m, dtype=bool)
+    for k in keys:
+        a, b = table[k].slice(0, m), table[k].slice(1)
+        ne = pc.coalesce(
+            pc.not_equal(a, b), pc.xor(pc.is_null(a), pc.is_null(b))
+        )
+        change |= ne.to_numpy(zero_copy_only=False).astype(bool)
+    starts = np.flatnonzero(change) + 1
+    return np.concatenate([[0] if n else [], starts, [n]]).astype(np.int64)
+
+
+def hash_partition_groups(ds, keys: list[str], fn, nparts: int | None = None):
+    """Per-key-group map over `hash_partition_apply`: each partition is
+    sorted by `keys` and `fn` is called once per run of equal keys with
+    that run's rows; a partition's results are concatenated. An empty
+    partition calls `fn` once on its zero rows, so every partition keeps
+    the output schema."""
+
+    def per_partition(t: pa.Table) -> pa.Table:
+        if t.num_rows == 0:
+            return fn(t)
+        t = t.sort_by([(k, "ascending") for k in keys])
+        b = key_runs(t, keys)
+        return pa.concat_tables(
+            [fn(t.slice(lo, hi - lo)) for lo, hi in zip(b[:-1], b[1:])]
+        )
+
+    return hash_partition_apply(ds, keys, per_partition, nparts)
 
 
 def hash_aggregate(

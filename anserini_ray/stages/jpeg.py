@@ -856,6 +856,8 @@ def _destuff(scan: bytes):
             intervals.append(bytes(cur))
             cur = bytearray()
             i += 2
+        elif m == 0xFF:  # fill byte before a marker (T.81 B.1.1.2)
+            i += 1
         else:  # EOI or next marker: scan ends
             break
     intervals.append(bytes(cur))
@@ -900,6 +902,8 @@ def _decode_jpeg(buf: bytes) -> np.ndarray:
     while i < n:
         if buf[i] != 0xFF:
             raise ValueError(f"expected marker at {i}")
+        while buf[i + 1] == 0xFF:  # fill bytes (T.81 B.1.1.2)
+            i += 1
         marker = buf[i + 1]
         i += 2
         if marker == 0xD9:  # EOI

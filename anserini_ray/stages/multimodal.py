@@ -292,7 +292,7 @@ class ImageResize:
         return (seed * reps)[: self.w * self.h]
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        out_payload, out_meta, keep = [], [], []
+        out_payload, out_type, out_meta, keep = [], [], [], []
         for i, (p, mt, meta) in enumerate(zip(
             batch["payload"].to_pylist(),
             batch["media_type"].to_pylist(),
@@ -300,6 +300,7 @@ class ImageResize:
         )):
             if not mt.startswith("image/"):
                 out_payload.append(p)  # pass-through for non-images
+                out_type.append(mt)
                 out_meta.append(meta)
                 keep.append(i)
                 continue
@@ -312,6 +313,9 @@ class ImageResize:
                     raise
                 continue
             out_payload.append(resized)
+            if mt == "image/gif" and resized[:8] == b"\x89PNG\r\n\x1a\n":
+                mt = "image/png"  # a >256-color GIF resize comes back as PNG
+            out_type.append(mt)
             m = json.loads(meta or "{}")
             m["w"], m["h"] = self.w, self.h
             out_meta.append(json.dumps(m))
@@ -321,7 +325,7 @@ class ImageResize:
             [
                 batch["item_id"].take(idx),
                 pa.array(out_payload, type=pa.large_binary()),
-                batch["media_type"].take(idx),
+                pa.array(out_type, type=batch["media_type"].type),
                 pa.array(out_meta, type=pa.string()),
             ],
             names=["item_id", "payload", "media_type", "meta"],
@@ -518,12 +522,10 @@ class AudioWindow:
 
 def media_exact_dedup(media_ds):
     """Exact media dedup by content digest — fully REAL (no decoder needed):
-    sha256 per payload in map_batches, one groupby on the 64-bit digest
-    prefix, representative = min item_id. Payload bytes never shuffle."""
-    import pyarrow.compute as pc
-
-    import ray.data
-    from ray.data.aggregate import Count, Min
+    sha256 per payload in map_batches, one hash aggregate on the 64-bit
+    digest prefix, representative = min item_id. Payload bytes never
+    shuffle."""
+    from .hashagg import hash_aggregate
 
     def digest(batch: pa.Table) -> pa.Table:
         hashes = [
@@ -535,23 +537,9 @@ def media_exact_dedup(media_ds):
             names=["digest", "item_id"],
         )
 
-    agg = (
-        media_ds.map_batches(digest, batch_format="pyarrow")
-        .groupby("digest")
-        .aggregate(Min("item_id"), Count())
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        if batch.num_columns == 0:
-            return pa.table(
-                {
-                    "rep_item_id": pa.array([], type=pa.int64()),
-                    "dup_count": pa.array([], type=pa.int64()),
-                }
-            )
-        return pa.Table.from_arrays(
-            [batch["min(item_id)"], batch["count()"]],
-            names=["rep_item_id", "dup_count"],
-        )
-
-    return agg.map_batches(finish, batch_format="pyarrow")
+    return hash_aggregate(
+        media_ds.map_batches(digest, batch_format="pyarrow"),
+        ["digest"],
+        [("min", "item_id"), ("count", None)],
+        ["rep_item_id", "dup_count"],
+    ).drop_columns(["digest"])

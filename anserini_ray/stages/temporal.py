@@ -3,10 +3,12 @@ range (interval) join — the window-shaped operators a training-data pipeline
 needs over an event log and that Ray Data has no built-in for (the reference
 engine is batch-only and has none either; SURVEY §1.1).
 
-All three share one physical shape: ONE hash shuffle on the entity key
-(`groupby(user_col).map_groups`), then fully vectorized numpy inside each
-group (sort + diff/cumsum for sessions, searchsorted for the joins). Nothing
-corpus-proportional touches the driver.
+All four share one physical shape: ONE hash-partitioned exchange on the
+entity key (`hashagg.hash_partition_groups`: every event of a user lands
+in one partition, which calls the per-user function once per user), then
+fully vectorized numpy inside each group (sort + diff/cumsum for sessions,
+searchsorted for the joins). Nothing corpus-proportional touches the
+driver.
 
 Partitioning assumption (documented per the custom-operator contract): a
 single entity's event history fits in one worker's memory. At 100 TB that
@@ -25,6 +27,8 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+
+from .hashagg import hash_partition_groups
 
 __all__ = [
     "sessionize",
@@ -90,7 +94,7 @@ def sessionize(
             names=[id_col, user_col, "session_idx", "session_seq"],
         )
 
-    return ds.groupby(user_col).map_groups(per_user, batch_format="pyarrow")
+    return hash_partition_groups(ds, [user_col], per_user)
 
 
 def session_stats(
@@ -104,8 +108,8 @@ def session_stats(
     round_decimals: int = 4,
 ):
     """Per-session aggregates (user_col, session_idx, n_events, duration_us,
-    sum_value) computed inside the SAME single shuffle as sessionize (no
-    second groupby): reduceat over the session boundaries."""
+    sum_value) computed inside the SAME single exchange as sessionize (no
+    second exchange): reduceat over the session boundaries."""
 
     def per_user(t: pa.Table) -> pa.Table:
         t, ts_us, _ids = _sorted_group(t, ts_col, id_col)
@@ -132,7 +136,7 @@ def session_stats(
             names=[user_col, "session_idx", "n_events", "duration_us", "sum_value"],
         )
 
-    return ds.groupby(user_col).map_groups(per_user, batch_format="pyarrow")
+    return hash_partition_groups(ds, [user_col], per_user)
 
 
 # ------------------------------------------------------------- as-of join
@@ -183,7 +187,7 @@ def asof_join(
             names=[id_col, user_col, "matched_event_id", "lag_us"],
         )
 
-    return ds.groupby(user_col).map_groups(per_user, batch_format="pyarrow")
+    return hash_partition_groups(ds, [user_col], per_user)
 
 
 # ------------------------------------------------------------- range join
@@ -233,4 +237,4 @@ def range_count_join(
             names=[id_col, user_col, "n_in_window", "sum_value_in_window"],
         )
 
-    return ds.groupby(user_col).map_groups(per_user, batch_format="pyarrow")
+    return hash_partition_groups(ds, [user_col], per_user)

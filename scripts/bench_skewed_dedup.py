@@ -1,8 +1,9 @@
 """Driver-RSS evidence for skewed near-dup inputs (round-2 task 3 "done"
 criterion): a 10^6-row corpus with a PLANTED HOT BUCKET (100K identical
 docs — every band hashes them into one bucket) must not blow up the driver:
-star truncation bounds pair emission, payload maps are built inside Ray
-tasks, and only skinny pair rows ever reach the driver.
+star truncation bounds pair emission, payloads are attached inside the
+exchange partitions, and only object refs and the pair count reach the
+driver.
 
 Reports peak driver RSS before/after minhash_lsh_dedup(verify=True) and
 simhash_dedup(verify=True) plus result counts. Recorded in BASELINE.md.

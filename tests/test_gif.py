@@ -217,3 +217,55 @@ def test_video_frame_sample_demux_animated_gif(ray_session):
     for r in out:
         assert np.array_equal(C.decode_png(r["payload"]),
                               frames[r["frame_idx"]])
+
+
+def test_transparent_index_past_color_table():
+    # 2-color global table, transparent index 3 (past the table): pixels of
+    # index 3 are never looked up and keep the background (green, index 1);
+    # an opaque out-of-range index still raises
+    gct = bytes([255, 0, 0, 0, 255, 0])  # red, green
+
+    def gif(pixels, transparent):
+        lzw = _lzw_encode(bytes(pixels), 2)
+        return (
+            b"GIF89a"
+            + struct.pack("<HHBBB", 2, 2, 0x80, 1, 0)
+            + gct
+            + b"\x21\xf9\x04\x01\x00\x00" + bytes([transparent]) + b"\x00"
+            + struct.pack("<BHHHHB", 0x2C, 0, 0, 2, 2, 0)
+            + bytes([2, len(lzw)]) + lzw + b"\x00"
+            + b"\x3b"
+        )
+
+    out = decode_gif(gif([0, 3, 3, 1], transparent=3))
+    red, green = [255, 0, 0], [0, 255, 0]
+    assert out.tolist() == [[red, green], [green, green]]
+    with pytest.raises(ValueError, match="palette range"):
+        decode_gif(gif([0, 3, 2, 1], transparent=3))
+
+
+def test_image_resize_gif_falling_back_to_png_says_png(ray_session):
+    import ray.data
+
+    from anserini_ray.stages import codecs as C
+    from anserini_ray.stages.multimodal import ImageResize
+
+    many = encode_gif(_pal_image(16, 16, 200, seed=4))
+    flat = encode_gif(np.full((8, 8, 3), 7, dtype=np.uint8))
+    ds = ray.data.from_items([
+        {"item_id": i, "payload": p, "media_type": "image/gif", "meta": "{}"}
+        for i, p in enumerate([many, flat])
+    ])
+    out = {
+        r["item_id"]: r
+        for r in ds.map_batches(
+            ImageResize(target_w=40, target_h=40, decoder="numpy"),
+            batch_format="pyarrow", batch_size=4,
+        ).take_all()
+    }
+    # bilinear blending of 200 colors yields more than 256: PNG, so says so
+    assert out[0]["media_type"] == "image/png"
+    assert C.decode_png(out[0]["payload"]).shape == (40, 40, 3)
+    # a flat image stays within a GIF palette
+    assert out[1]["media_type"] == "image/gif"
+    assert out[1]["payload"][:6] == b"GIF89a"

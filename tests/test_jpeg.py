@@ -285,3 +285,21 @@ def test_media_feature_extract_and_resize_accept_jpeg(ray_session):
     ).take_all()
     out = J.decode_jpeg(resized[0]["payload"])
     assert out.shape == (16, 24, 3)
+
+
+@pytest.mark.parametrize("restart", [0, 3])
+def test_fill_bytes_before_markers_are_skipped(restart):
+    # T.81 B.1.1.2: any marker may be preceded by any number of 0xFF fill
+    # bytes — before a header segment, before SOS, before every RSTn inside
+    # the scan and before EOI
+    img = _gradient(40, 45)
+    buf = J.encode_jpeg(img, quality=85, restart_interval=restart)
+    sos = buf.index(b"\xff\xda")
+    head, scan = buf[2:sos], buf[sos:-2]
+    for m in range(0xD0, 0xD8):
+        scan = scan.replace(bytes([0xFF, m]), bytes([0xFF, 0xFF, 0xFF, m]))
+    if restart:
+        assert scan.count(b"\xff\xff\xff") > 1
+    filled = (b"\xff\xd8" + b"\xff" + head + b"\xff\xff" + scan
+              + b"\xff\xff\xff\xd9")
+    assert np.array_equal(J.decode_jpeg(filled), J.decode_jpeg(buf))

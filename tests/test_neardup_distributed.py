@@ -208,6 +208,79 @@ def test_unique_by_key_vectorized(ray_session):
     assert {r["k"]: r["t"] for r in first} == {"a": 1, "b": 5, "c": 7}
 
 
+def _upsert_rows():
+    """Rows keyed (conv_id, turn_idx) with 1-4 versions each, distinct ts
+    per key, listed key by key in shuffled ts order so that over 8 blocks
+    many key runs straddle a block boundary."""
+    import random
+
+    rng = random.Random(11)
+    rows = []
+    for c in range(20):
+        for t in range(3):
+            tss = rng.sample(range(1000), rng.randint(1, 4))
+            for v, ts in enumerate(tss):
+                rows.append({
+                    "conv_id": f"c{c:02d}", "turn_idx": t, "ts": ts,
+                    "text": f"alpha w{c}x{t}v{v} beta{v}",
+                })
+    return rows
+
+
+def _upsert_oracle(rows, keep):
+    best = {}
+    for r in rows:
+        k = (r["conv_id"], r["turn_idx"])
+        if k not in best or (r["ts"] > best[k]["ts"]) == (keep == "last"):
+            best[k] = r
+    return best
+
+
+@pytest.mark.parametrize("keep", ["last", "first"])
+def test_unique_by_key_across_blocks(ray_session, keep):
+    import ray.data
+
+    from anserini_ray.stages.dedup import unique_by_key
+
+    rows = _upsert_rows()
+    ds = ray.data.from_items(rows, override_num_blocks=8)
+    out = unique_by_key(
+        ds, ["conv_id", "turn_idx"], "ts", keep=keep
+    ).take_all()
+    got = {(r["conv_id"], r["turn_idx"]): r for r in out}
+    assert len(out) == len(got) == 60
+    assert got == _upsert_oracle(rows, keep)
+
+
+def test_dedup_docids_build_equals_oracle_build(ray_session, tmp_path):
+    """build_index(dedup_docids=True) over the multi-block Dataset decodes
+    equal to a plain build of the last-write-wins rows."""
+    import ray.data
+
+    from anserini_ray.index import IndexConfig, build_index
+    from anserini_ray.search.searcher import LocalSearcher
+
+    rows = _upsert_rows()
+    winners = sorted(
+        _upsert_oracle(rows, "last").values(),
+        key=lambda r: (r["conv_id"], r["turn_idx"]),
+    )
+    deduped, direct = str(tmp_path / "dedup"), str(tmp_path / "direct")
+    m1 = build_index(ray.data.from_items(rows, override_num_blocks=8),
+                     deduped, IndexConfig(seg_shift=4), dedup_docids=True)
+    m2 = build_index(ray.data.from_items(winners), direct,
+                     IndexConfig(seg_shift=4))
+    assert m1.doc_count == m2.doc_count == 60
+    assert m1.sum_total_tf == m2.sum_total_tf
+    s1, s2 = LocalSearcher(deduped), LocalSearcher(direct)
+    words = {w for r in rows for w in r["text"].split()}
+    for q in sorted(words):
+        r1, sc1 = s1.search(q, k=100)
+        r2, sc2 = s2.search(q, k=100)
+        assert r1 == r2, q
+        assert list(map(float, sc1)) == list(map(float, sc2)), q
+
+
 def test_distinct_pairs_star_cap(ray_session):
     import ray.data
 
@@ -231,11 +304,10 @@ def test_distinct_pairs_star_cap(ray_session):
     assert len([p for p in got if p == (2, 3)]) == 1
 
 
-def test_verify_paths_agree_above_broadcast_cap(ray_session, monkeypatch):
-    """Round-5 regression: with candidate pairs above PAIR_BROADCAST_LIMIT
-    the attach falls to the Acero hash join, which rejects list-typed
-    payload columns — payloads are binary blobs now. Both attach paths must
-    produce identical verified pairs for minhash AND embedding near-dup."""
+def test_verify_paths_agree_above_broadcast_cap(ray_session):
+    """A template-heavy corpus (15 clusters of 10 near-identical docs or
+    vectors, the shape that once crashed the verify): the verified pairs
+    of minhash AND embedding near-dup equal brute force."""
     import numpy as np
     import pyarrow as pa
     import ray.data
@@ -252,16 +324,16 @@ def test_verify_paths_agree_above_broadcast_cap(ray_session, monkeypatch):
         pa.table({"doc_id": pa.array(ids), "text": pa.array(texts)})
     )
 
-    def pairs_set(res):
+    def pairs_set(res, a="doc_a", b="doc_b"):
         out = set()
-        for b in res.iter_batches(batch_format="pyarrow"):
-            out |= set(zip(b["doc_a"].to_pylist(), b["doc_b"].to_pylist()))
+        for batch in res.iter_batches(batch_format="pyarrow"):
+            out |= set(zip(batch[a].to_pylist(), batch[b].to_pylist()))
         return out
 
-    broadcast = pairs_set(D.minhash_lsh_dedup(ds, threshold=0.8, verify=True))
-    monkeypatch.setattr(D, "PAIR_BROADCAST_LIMIT", 0)
-    joined = pairs_set(D.minhash_lsh_dedup(ds, threshold=0.8, verify=True))
-    assert broadcast and joined == broadcast
+    rows = [{"doc_id": i, "text": t} for i, t in zip(ids, texts)]
+    want = _brute_jaccard_pairs(rows, 0.8)
+    got = pairs_set(D.minhash_lsh_dedup(ds, threshold=0.8, verify=True))
+    assert len(want) == 15 * 45 and got == want
 
     rng = np.random.default_rng(0)
     base = rng.normal(size=(15, 8))
@@ -271,17 +343,16 @@ def test_verify_paths_agree_above_broadcast_cap(ray_session, monkeypatch):
         "embedding": pa.array([list(map(float, v)) for v in vecs],
                               type=pa.list_(pa.float64())),
     }))
-
-    def vpairs(res):
-        out = set()
-        for b in res.iter_batches(batch_format="pyarrow"):
-            out |= set(zip(b["vec_a"].to_pylist(), b["vec_b"].to_pylist()))
-        return out
-
-    j2 = vpairs(A.embedding_cosine_near_dup(eds, threshold=0.999))
-    monkeypatch.undo()
-    b2 = vpairs(A.embedding_cosine_near_dup(eds, threshold=0.999))
-    assert b2 and j2 == b2
+    unit = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+    cos = unit @ unit.T
+    want_v = {
+        (i, j) for i in range(150) for j in range(i + 1, 150)
+        if cos[i, j] >= 0.999
+    }
+    got_v = pairs_set(
+        A.embedding_cosine_near_dup(eds, threshold=0.999), "vec_a", "vec_b"
+    )
+    assert want_v and got_v == want_v
 
 
 def test_duplicate_ngram_spans_semantics(ray_session):
@@ -411,3 +482,63 @@ def test_duplicate_ngram_spans_matches_bruteforce_random(ray_session):
             for r in got
         }
         assert got_set == want, (trial, n, got_set ^ want)
+
+
+def test_keyed_operators_use_no_ray_grouping(ray_session, monkeypatch):
+    """Every keyed operator runs on the hash-partitioned exchange: with
+    Ray Data's groupby, join and unique made to raise, each still finds
+    the duplicates planted in its input."""
+    import datetime
+
+    import ray.data
+    from ray.data import Dataset
+
+    from anserini_ray.stages.ann import embedding_cosine_near_dup
+    from anserini_ray.stages.dedup import (
+        exact_dedup,
+        minhash_lsh_dedup,
+        simhash_dedup,
+        unique_by_key,
+    )
+    from anserini_ray.stages.temporal import sessionize
+
+    def forbidden(*_a, **_k):
+        raise AssertionError("Ray Data grouping called")
+
+    for name in ("groupby", "join", "unique"):
+        monkeypatch.setattr(Dataset, name, forbidden)
+
+    rows = _doc_rows()  # docs 100 and 101 copy docs 0 and 1
+    docs = ray.data.from_items(rows, override_num_blocks=4)
+    dups = {
+        r["rep_doc_id"]: r["dup_count"] for r in exact_dedup(docs).take_all()
+    }
+    assert dups[0] == dups[1] == 2 and len(dups) == len(rows) - 2
+
+    upserts = ray.data.from_items(_upsert_rows(), override_num_blocks=8)
+    latest = unique_by_key(upserts, ["conv_id", "turn_idx"], "ts").take_all()
+    assert len(latest) == 60
+
+    t0 = datetime.datetime(2024, 1, 1)
+    events = ray.data.from_items([
+        {"event_id": i, "user_id": i % 2,
+         "ts": t0 + datetime.timedelta(minutes=[0, 1, 2, 90, 91, 200][i // 2])}
+        for i in range(12)
+    ], override_num_blocks=3)
+    sess = sessionize(events, gap_us=30 * 60 * 10**6).take_all()
+    assert {(r["user_id"], r["session_idx"]) for r in sess} == {
+        (u, s) for u in (0, 1) for s in (0, 1, 2)
+    }
+
+    mh = minhash_lsh_dedup(docs, threshold=0.9).take_all()
+    assert {(0, 100), (1, 101)} <= {(r["doc_a"], r["doc_b"]) for r in mh}
+    sh = simhash_dedup(docs, verify=True).take_all()
+    assert {(0, 100), (1, 101)} <= {(r["doc_a"], r["doc_b"]) for r in sh}
+
+    rng = np.random.default_rng(3)
+    vecs = rng.standard_normal((20, 8))
+    vecs[19] = vecs[0]
+    emb = embedding_cosine_near_dup(ray.data.from_items(
+        [{"vec_id": i, "embedding": v.tolist()} for i, v in enumerate(vecs)]
+    ), threshold=0.999).take_all()
+    assert (0, 19) in {(r["vec_a"], r["vec_b"]) for r in emb}

@@ -133,3 +133,17 @@ _NEAR_DUP = [
 @pytest.mark.parametrize("name", _NEAR_DUP)
 def test_near_dup_entry_sf001(name, ray_session, sf01_dir, oracle_con01):
     test_registry_entry(name, ray_session, sf01_dir, oracle_con01)
+
+
+# The entries whose keyed operators go through the same exchange
+# (`hash_aggregate`, `hash_partition_groups`) also run at sf0.01.
+_KEYED = [
+    "events_asof", "events_by_type", "events_range_join",
+    "events_sessionized", "events_windowed", "exact_dedup",
+    "pack_sequences", "session_stats", "top_users_by_events",
+]
+
+
+@pytest.mark.parametrize("name", _KEYED)
+def test_keyed_entry_sf001(name, ray_session, sf01_dir, oracle_con01):
+    test_registry_entry(name, ray_session, sf01_dir, oracle_con01)
